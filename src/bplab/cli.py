@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +29,7 @@ from .sphere import sample_sphere_vectors
 from .spectra import (
     EmpiricalDistribution,
     GridSpec,
+    ReferenceLaw,
     esd,
     empirical_moments,
     cauchy_sup_distance,
@@ -56,7 +58,8 @@ class ExperimentConfig:
     seed: int
     moments_kmax: int | None = None
     histogram_bins: int | None = None
-    cauchy_distance_target: dict | None = None
+    distance_target: ReferenceLaw | None = None
+    distance_grid: GridSpec | None = None
     inner_cut: float | None = None
 
     @classmethod
@@ -84,7 +87,7 @@ class ExperimentConfig:
             raise ConfigError("outputs", "must be a nonempty object")
         kmax = None
         bins = None
-        target = None
+        target = grid = None
         for key, val in outputs.items():
             if key == "moments":
                 kmax = int(val.get("kmax", 4))
@@ -95,7 +98,7 @@ class ExperimentConfig:
                 if bins < 1:
                     raise ConfigError("outputs.histogram.bins", "must be >= 1")
             elif key == "cauchy_distance":
-                target = val
+                target, grid = _parse_distance_target(val)
             else:
                 raise ConfigError(f"outputs.{key}", "unknown output")
         cut = doc.get("inner_cut")
@@ -117,7 +120,8 @@ class ExperimentConfig:
             seed=seed,
             moments_kmax=kmax,
             histogram_bins=bins,
-            cauchy_distance_target=target,
+            distance_target=target,
+            distance_grid=grid,
             inner_cut=cut,
         )
 
@@ -202,10 +206,7 @@ def run(config: ExperimentConfig) -> Report:
         seed=config.seed,
         version=_version(),
     )
-    target_law = None
-    grid = None
-    if config.cauchy_distance_target is not None:
-        target_law, grid = _parse_distance_target(config.cauchy_distance_target)
+    target_law, grid = config.distance_target, config.distance_grid
     workers = _worker_count()
     for d in config.dims:
         trials = list(range(config.trials_per_dim))
@@ -248,31 +249,51 @@ def _pool(laws) -> EmpiricalDistribution:
     return EmpiricalDistribution(points, weights / weights.sum())
 
 
-def _parse_distance_target(doc: dict):
-    grid = GridSpec()
-    if "grid" in doc:
-        g = doc["grid"]
+_TARGET_LAWS = {
+    "semicircle": spectra.semicircle,
+    "cauchy": spectra.cauchy_law,
+    "marchenko_pastur": spectra.marchenko_pastur,
+    "dirac": spectra.dirac_law,
+}
+
+
+def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
+    """The target law and evaluation grid of the cauchy_distance output."""
+    path = "outputs.cauchy_distance"
+    if not isinstance(doc, dict):
+        raise ConfigError(path, "must be an object")
+    g = doc.get("grid", {})
+    if not isinstance(g, dict):
+        raise ConfigError(f"{path}.grid", "must be an object")
+    try:
         grid = GridSpec(
-            real_range=tuple(g.get("real_range", (-8.0, 8.0))),
+            real_range=tuple(float(v) for v in g.get("real_range", (-8.0, 8.0))),
             real_step=float(g.get("real_step", 0.05)),
-            imaginary_levels=tuple(g.get("imaginary_levels", (1.0, 2.0, 4.0))),
+            imaginary_levels=tuple(
+                float(v) for v in g.get("imaginary_levels", (1.0, 2.0, 4.0))
+            ),
         )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.grid", str(exc)) from exc
     spec = doc.get("target")
     if not isinstance(spec, dict):
-        raise ConfigError("outputs.cauchy_distance.target", "missing")
-    if "law" in spec:
-        name = spec["law"]
-        params = spec.get("params", [])
-        law = {
-            "semicircle": spectra.semicircle,
-            "cauchy": spectra.cauchy_law,
-            "marchenko_pastur": spectra.marchenko_pastur,
-            "dirac": spectra.dirac_law,
-        }.get(name)
-        if law is None:
-            raise ConfigError("outputs.cauchy_distance.target.law", f"unknown law {name!r}")
-        return law(*params), grid
-    raise ConfigError("outputs.cauchy_distance.target", "needs a 'law' entry")
+        raise ConfigError(f"{path}.target", "missing")
+    if "law" not in spec:
+        raise ConfigError(f"{path}.target", "needs a 'law' entry")
+    name = spec["law"]
+    make = _TARGET_LAWS.get(name) if isinstance(name, str) else None
+    if make is None:
+        raise ConfigError(f"{path}.target.law", f"unknown law {name!r}")
+    params = spec.get("params", [])
+    if not isinstance(params, list):
+        raise ConfigError(f"{path}.target.params", "must be a list of numbers")
+    try:
+        values = [float(v) for v in params]
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("params must be finite")
+        return make(*values), grid
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}.target.params", str(exc)) from exc
 
 
 def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Report:

@@ -226,25 +226,38 @@ def convolve(t1: LevyTriple, t2: LevyTriple) -> LevyTriple:
 
 
 def is_symmetric(t: LevyTriple, tol: float = 1e-9) -> bool:
-    """The law is symmetric iff gamma = 0 and G is invariant under u -> -u."""
+    """The law is symmetric iff gamma = 0 and G is invariant under u -> -u.
+
+    Each atom u != 0 needs a partner, the first atom um in sorted order with
+    |um + u| <= max(tol, 1e-12); for u > 0 the partner's weight must also
+    match within tol.
+    """
     if tol < 0:
         raise ValueError("tol must be nonnegative")
     if abs(t.gamma) > tol:
         return False
-    atoms = list(t.G.atoms)
-    for u, w in atoms:
-        if u <= 0:
-            continue
-        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, _MERGE_TOL)), None)
-        if partner is None or abs(partner - w) > tol:
-            return False
-    for u, w in atoms:
-        if u >= 0:
-            continue
-        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, _MERGE_TOL)), None)
-        if partner is None:
-            return False
-    return True
+    locs, ws = t.G.locations(), t.G.weights()
+    nonzero = locs != 0
+    u, w = locs[nonzero], ws[nonzero]
+    if u.size == 0:
+        return True
+    eps = max(tol, _MERGE_TOL)
+    # first index with locs + u >= -eps, exactly as that sum rounds: the
+    # searchsorted guess can be off by an ulp-sized step either way
+    n = locs.size
+    idx = np.searchsorted(locs, -u - eps)
+    while True:
+        left = (idx > 0) & (locs[np.maximum(idx - 1, 0)] + u >= -eps)
+        right = (idx < n) & (locs[np.minimum(idx, n - 1)] + u < -eps)
+        if not (left.any() or right.any()):
+            break
+        idx += right.astype(int) - left.astype(int)
+    at = np.minimum(idx, n - 1)
+    found = (idx < n) & (np.abs(locs[at] + u) <= eps)
+    if not found.all():
+        return False
+    positive = u > 0
+    return bool(np.all(np.abs(ws[at[positive]] - w[positive]) <= tol))
 
 
 # ---------------------------------------------------------------------------

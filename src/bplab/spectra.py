@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .cumulants import CumulantSequence, MomentSequence, bp_transport, moments_from_cumulants
 from .levy import LevyTriple, cumulants_from_triple
@@ -111,10 +110,14 @@ class GridSpec:
 
     def __post_init__(self):
         lo, hi = self.real_range
-        if hi <= lo or self.real_step <= 0:
-            raise ValueError("invalid real grid")
-        if any(y < 1.0 for y in self.imaginary_levels) or not self.imaginary_levels:
-            raise ValueError("imaginary levels must be >= 1")
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+            raise ValueError("real_range must be a finite increasing pair")
+        if not (math.isfinite(self.real_step) and self.real_step > 0):
+            raise ValueError("real_step must be positive and finite")
+        if not self.imaginary_levels or not all(
+            math.isfinite(y) and y >= 1.0 for y in self.imaginary_levels
+        ):
+            raise ValueError("imaginary_levels must be finite and >= 1")
 
     def points(self) -> np.ndarray:
         lo, hi = self.real_range
@@ -152,12 +155,26 @@ def _mp_density(lam: float, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def cauchy_transform(nu, z: complex) -> complex:
-    """f_nu(z) = integral of 1/(u - z) dnu(u), for Im z > 0."""
-    if z.imag <= 0:
+# Most (support x z) elements an empirical transform materializes at once.
+_TRANSFORM_BLOCK = 1 << 16
+
+
+def cauchy_transform(nu, z):
+    """f_nu(z) = integral of 1/(u - z) dnu(u), for Im z > 0.
+
+    z may be a scalar, which gives a complex, or an array, which gives an
+    array of the same shape.
+    """
+    zs = np.asarray(z, dtype=complex)
+    if not np.all(zs.imag > 0):
         raise ValueError("z must lie in the open upper half plane")
+    f = _transform(nu, zs)
+    return complex(f) if zs.ndim == 0 else f
+
+
+def _transform(nu, z: np.ndarray) -> np.ndarray:
     if isinstance(nu, EmpiricalDistribution):
-        return complex(np.sum(nu.weights / (nu.support_points - z)))
+        return _empirical_transform(nu, z)
     if nu.kind == "dirac":
         (a,) = nu.params
         return 1.0 / (a - z)
@@ -173,21 +190,30 @@ def cauchy_transform(nu, z: complex) -> complex:
         return (-zz + w) / (2.0 * r * r)
     if nu.kind == "marchenko_pastur":
         (lam,) = nu.params
-        a, b = _mp_edges(lam)
-        atom = max(1.0 - lam, 0.0)
         if lam == 0:
             return 1.0 / (0.0 - z)
-
-        def re_part(x):
-            return float(np.real(_mp_density(lam, np.array([x]))[0] / (x - z)))
-
-        def im_part(x):
-            return float(np.imag(_mp_density(lam, np.array([x]))[0] / (x - z)))
-
-        re, _ = integrate.quad(re_part, a, b, limit=200)
-        im, _ = integrate.quad(im_part, a, b, limit=200)
-        return complex(re, im) + atom / (0.0 - z)
+        # z f^2 + (z + 1 - lam) f + 1 = 0 with the semicircle's split-root
+        # branch; near z = 0 the root tends to -|1 - lam|, which leaves the
+        # pole of the (1 - lam)+ atom at zero and no pole when lam >= 1
+        a, b = _mp_edges(lam)
+        w = np.sqrt(z - a) * np.sqrt(z - b)
+        return -(z + 1.0 - lam - w) / (2.0 * z)
     raise ValueError(f"unknown law {nu!r}")
+
+
+def _empirical_transform(nu: EmpiricalDistribution, z: np.ndarray) -> np.ndarray:
+    """Weighted sum of 1/(x - z) over the support, one block of the
+    (z x support) product at a time so that memory stays bounded."""
+    x, w = nu.support_points, nu.weights
+    flat = z.ravel()
+    out = np.zeros(flat.shape, dtype=complex)
+    xstep = min(x.size, _TRANSFORM_BLOCK)
+    zstep = max(1, _TRANSFORM_BLOCK // xstep)
+    for i in range(0, flat.size, zstep):
+        zb = flat[i : i + zstep, None]
+        for j in range(0, x.size, xstep):
+            out[i : i + zstep] += np.sum(w[j : j + xstep] / (x[j : j + xstep] - zb), axis=1)
+    return out.reshape(z.shape)
 
 
 def cauchy_sup_distance(nu1, nu2, grid: GridSpec | None = None) -> float:
@@ -196,8 +222,7 @@ def cauchy_sup_distance(nu1, nu2, grid: GridSpec | None = None) -> float:
     if grid is None:
         grid = GridSpec()
     zs = grid.points()
-    diffs = [abs(cauchy_transform(nu1, z) - cauchy_transform(nu2, z)) for z in zs]
-    return float(max(diffs))
+    return float(np.max(np.abs(cauchy_transform(nu1, zs) - cauchy_transform(nu2, zs))))
 
 
 def reference_density(law: ReferenceLaw, x: float) -> float:

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import integrate
 
 from bplab.partitions import enumerate_noncrossing, enumerate_partitions
+from bplab.spectra import marchenko_pastur, reference_density
 
 
 def lattice_moment(c, n, kind):
@@ -70,3 +71,39 @@ def ks_integer(samples, cdf, kmax):
     ks = np.arange(kmax + 1)
     emp = np.array([np.mean(x <= k + 1e-9) for k in ks])
     return float(np.max(np.abs(emp - cdf(ks))))
+
+
+def is_symmetric_scan(t, tol=1e-9):
+    """Symmetry of a triple by the pairwise O(n^2) scan: gamma = 0, and each
+    atom u != 0 has a partner, the first atom um in sorted order with
+    |um + u| <= max(tol, 1e-12), whose weight matches within tol if u > 0."""
+    if abs(t.gamma) > tol:
+        return False
+    atoms = list(t.G.atoms)
+    for u, w in atoms:
+        if u <= 0:
+            continue
+        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
+        if partner is None or abs(partner - w) > tol:
+            return False
+    for u, w in atoms:
+        if u >= 0:
+            continue
+        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
+        if partner is None:
+            return False
+    return True
+
+
+def mp_transform_quad(lam, zs):
+    """Marchenko-Pastur(lam) transform at the points zs: adaptive quadrature
+    of density / (x - z) over the support [a, b], vector-valued over zs,
+    plus the (1 - lam)+ atom at zero."""
+    zs = np.asarray(zs, dtype=complex)
+    law = marchenko_pastur(lam)
+    a, b = (1.0 - lam**0.5) ** 2, (1.0 + lam**0.5) ** 2
+    f, _ = integrate.quad_vec(
+        lambda x: reference_density(law, x) / (x - zs), a, b,
+        epsabs=1e-13, epsrel=1e-12, limit=2000,
+    )
+    return f + max(1.0 - lam, 0.0) / (0.0 - zs)

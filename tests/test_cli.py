@@ -212,6 +212,25 @@ def test_cli_run_bad_config_exit_codes(tmp_path, capsys):
     assert main(["run", str(invalid)]) == 2
 
 
+@pytest.mark.parametrize(
+    "distance, field",
+    [
+        ({"target": {"law": "nope"}}, "outputs.cauchy_distance.target.law"),
+        ({"target": {"law": "marchenko_pastur", "params": [-1]}},
+         "outputs.cauchy_distance.target.params"),
+        ({"target": {"law": "dirac", "params": [2.0]}, "grid": {"real_step": 0}}, "real_step"),
+    ],
+    ids=["unknown-law", "negative-lambda", "zero-step"],
+)
+def test_cli_run_bad_distance_target_exits_2(tmp_path, capsys, distance, field):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(outputs={"cauchy_distance": distance})))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert field in captured.err
+    assert captured.out == ""
+
+
 def test_cli_project_subcommand(tmp_path):
     out = tmp_path / "proj"
     assert main(["project", "--dim", "50", "--count", "25", "--trials", "3",

@@ -20,7 +20,7 @@ from bplab.levy import (
     triple_to_spec,
     truncate,
 )
-from oracles import fitted_cumulants
+from oracles import fitted_cumulants, is_symmetric_scan
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +213,39 @@ def test_is_symmetric():
     assert not is_symmetric(poisson(1.0))
     assert not is_symmetric(LevyTriple(0.0, FiniteMeasure(((1.0, 0.5), (-1.0, 0.4)))))
     assert is_symmetric(cauchy(1.0))
+
+
+def _near_symmetric_triple(rng, tol):
+    """Atoms u > 0 from a dyadic lattice or uniform draws, mirrored to -u;
+    at a rate drawn per set, a mirror is shifted by +-tol or +-2 tol, a
+    weight by -tol, tol or 2 tol, and an atom dropped.  Sometimes an atom at
+    0 and a drift of tol."""
+    n = int(rng.integers(1, 10))
+    rate = rng.choice([0.0, 0.1, 0.5])
+    pos = np.where(rng.random(n) < 0.5, rng.integers(1, 32, n) / 16.0, rng.uniform(0.01, 2.0, n))
+    w = rng.integers(4, 12, n) / 8.0
+    shift = np.where(rng.random(n) < rate, rng.choice([tol, -tol, 2 * tol, -2 * tol], n), 0.0)
+    dw = np.where(rng.random(n) < rate, rng.choice([-tol, tol, 2 * tol], n), 0.0)
+    atoms = list(zip(pos, w)) + list(zip(-pos + shift, w + dw))
+    atoms = [a for a in atoms if rng.random() >= rate / 2]
+    if rng.random() < 0.3:
+        atoms.append((0.0, 1.0))
+    gamma = tol if rng.random() < 0.1 else 0.0
+    return LevyTriple(gamma, FiniteMeasure(tuple(atoms)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 2.0**-30, 1e-9, 2.0**-10, 0.25])
+def test_is_symmetric_matches_pairwise_scan(tol):
+    # dyadic tolerances put partners exactly at the tolerance; 0.25 leaves
+    # several candidates in the window, so the first one in sorted order counts
+    rng = np.random.default_rng(int(tol * 2**40) + 5)
+    outcomes = []
+    for _ in range(300):
+        t = _near_symmetric_triple(rng, tol)
+        expected = is_symmetric_scan(t, tol)
+        assert is_symmetric(t, tol) == expected, t
+        outcomes.append(expected)
+    assert 20 < sum(outcomes) < 280
 
 
 def test_spec_round_trip():

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from scipy import integrate
@@ -20,6 +24,7 @@ from bplab.spectra import (
     reference_moments,
     semicircle,
 )
+from oracles import mp_transform_quad
 
 
 def test_empirical_distribution_validation_and_sorting():
@@ -156,6 +161,54 @@ def test_transform_is_herglotz_on_the_grid():
 def test_transform_rejects_lower_half_plane():
     with pytest.raises(ValueError):
         cauchy_transform(dirac_law(0.0), 1.0 - 1.0j)
+    for zs in ([1.0 + 1.0j, 2.0 - 1.0j], [[1.0 + 1.0j], [2.0 + 0.0j]]):
+        with pytest.raises(ValueError):
+            cauchy_transform(semicircle(), np.array(zs))
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.5, 1.0, 2.5])
+def test_marchenko_pastur_closed_form_matches_quadrature(lam):
+    zs = GridSpec().points()
+    f = cauchy_transform(marchenko_pastur(lam), zs)
+    assert np.max(np.abs(f - mp_transform_quad(lam, zs))) <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "nu",
+    [
+        dirac_law(0.5),
+        cauchy_law(1.5),
+        semicircle(0.2, 0.8),
+        marchenko_pastur(0.0),
+        marchenko_pastur(0.4),
+        EmpiricalDistribution.point_mass(-1.0),
+        # 5000 support points x 63 grid points spans several blocks of z;
+        # 70000 points split the support as well
+        EmpiricalDistribution.from_samples(np.random.default_rng(1).standard_normal(5000)),
+        EmpiricalDistribution.from_samples(np.random.default_rng(2).standard_normal(70000)),
+    ],
+    ids=lambda nu: getattr(nu, "kind", "empirical"),
+)
+def test_array_transform_equals_scalar_calls(nu):
+    zs = GridSpec((-3.0, 3.0), 0.3, (1.0, 2.5, 7.0)).points().reshape(3, -1)
+    f = cauchy_transform(nu, zs)
+    assert f.shape == zs.shape
+    expected = np.array([[cauchy_transform(nu, complex(z)) for z in row] for row in zs])
+    if isinstance(nu, EmpiricalDistribution):
+        # the same terms summed per grid point in the same order
+        assert np.array_equal(f, expected)
+    else:
+        # numpy's array loops for complex arithmetic can round differently
+        # from its scalar path, and the closed forms cancel in -z + root
+        np.testing.assert_allclose(f, expected, rtol=64 * np.finfo(float).eps, atol=0)
+    assert isinstance(cauchy_transform(nu, 1.0 + 1.0j), complex)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, bplab, bplab.cli; sys.exit('scipy' in sys.modules and 'scipy imported')"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 def test_sup_distance_properties():
