@@ -53,6 +53,7 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     model: str  # "hermitian" | "nonhermitian"
     triple_spec: dict
+    triple: LevyTriple  # parsed from triple_spec
     dims: tuple[int, ...]
     trials_per_dim: int
     seed: int
@@ -72,15 +73,15 @@ class ExperimentConfig:
         if "triple" not in doc:
             raise ConfigError("triple", "missing")
         dims = doc.get("dims")
-        if not isinstance(dims, list) or not dims or dims != sorted(dims) or any(
-            not isinstance(d, int) or d < 1 for d in dims
-        ):
+        if not isinstance(dims, list) or not dims or any(
+            not _is_int(d) or d < 1 for d in dims
+        ) or dims != sorted(dims):
             raise ConfigError("dims", "must be a nonempty ascending list of positive ints")
         trials = doc.get("trials_per_dim", 1)
-        if not isinstance(trials, int) or trials < 1:
+        if not _is_int(trials) or trials < 1:
             raise ConfigError("trials_per_dim", "must be a positive integer")
         seed = doc.get("seed", 0)
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ConfigError("seed", "must be an integer")
         outputs = doc.get("outputs", {"moments": {"kmax": 4}})
         if not isinstance(outputs, dict) or not outputs:
@@ -89,23 +90,27 @@ class ExperimentConfig:
         bins = None
         target = grid = None
         for key, val in outputs.items():
+            if key in ("moments", "histogram") and not isinstance(val, dict):
+                raise ConfigError(f"outputs.{key}", "must be an object")
             if key == "moments":
-                kmax = int(val.get("kmax", 4))
-                if kmax < 1:
-                    raise ConfigError("outputs.moments.kmax", "must be >= 1")
+                kmax = val.get("kmax", 4)
+                if not _is_int(kmax) or kmax < 1:
+                    raise ConfigError("outputs.moments.kmax", "must be a positive integer")
             elif key == "histogram":
-                bins = int(val.get("bins", 50))
-                if bins < 1:
-                    raise ConfigError("outputs.histogram.bins", "must be >= 1")
+                bins = val.get("bins", 50)
+                if not _is_int(bins) or bins < 1:
+                    raise ConfigError("outputs.histogram.bins", "must be a positive integer")
             elif key == "cauchy_distance":
                 target, grid = _parse_distance_target(val)
             else:
                 raise ConfigError(f"outputs.{key}", "unknown output")
         cut = doc.get("inner_cut")
         if cut is not None:
+            if isinstance(cut, bool) or not isinstance(cut, (int, float)) or not (
+                0 < cut < math.inf
+            ):
+                raise ConfigError("inner_cut", "must be a positive finite number")
             cut = float(cut)
-            if cut <= 0:
-                raise ConfigError("inner_cut", "must be positive")
         try:
             triple = triple_from_spec(doc["triple"])
         except ValueError as exc:
@@ -115,6 +120,7 @@ class ExperimentConfig:
         return cls(
             model=model,
             triple_spec=doc["triple"],
+            triple=triple,
             dims=tuple(dims),
             trials_per_dim=trials,
             seed=seed,
@@ -125,8 +131,10 @@ class ExperimentConfig:
             inner_cut=cut,
         )
 
-    def triple(self) -> LevyTriple:
-        return triple_from_spec(self.triple_spec)
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int in Python, but true is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -186,19 +194,20 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
     return mean, stderr
 
 
-def _trial_law(config: ExperimentConfig, triple: LevyTriple, d: int, trial: int):
+def _trial_law(config: ExperimentConfig, d: int, trial: int):
     rng = RngStream(config.seed, trial)
+    # one sample_*_many call per trial, by this module's names: perfbench/tracing.py
+    # times it as the per-trial sample, so the decomposition is not hoisted out
     if config.model == "hermitian":
-        sample = sample_P_many(triple, d, rng, 1, config.inner_cut)[0]
+        sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut)[0]
         return esd(sample)
-    sample = sample_L_many(triple, d, rng, 1, config.inner_cut)[0]
+    sample = sample_L_many(config.triple, d, rng, 1, config.inner_cut)[0]
     return symmetrized_singular_law(sample)
 
 
 def run(config: ExperimentConfig) -> Report:
     """Draw trials_per_dim independent samples per dimension and aggregate
     the requested statistics; deterministic under a fixed seed."""
-    triple = config.triple()
     report = Report(
         config={"model": config.model, "triple": config.triple_spec,
                 "dims": list(config.dims), "trials_per_dim": config.trials_per_dim,
@@ -212,9 +221,10 @@ def run(config: ExperimentConfig) -> Report:
         trials = list(range(config.trials_per_dim))
         if workers > 1 and len(trials) > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
-                laws = list(pool.map(lambda t: _trial_law(config, triple, d, t), trials))
+                laws = list(pool.map(lambda t: _trial_law(config, d, t), trials))
         else:
-            laws = [_trial_law(config, triple, d, t) for t in trials]
+            laws = [_trial_law(config, d, t) for t in trials]
+        pooled = _pool(laws)
         if config.moments_kmax is not None:
             per_trial = np.array(
                 [empirical_moments(law, config.moments_kmax).values for law in laws]
@@ -226,7 +236,6 @@ def run(config: ExperimentConfig) -> Report:
                      "mean": mean, "stderr": stderr}
                 )
         if config.histogram_bins is not None:
-            pooled = _pool(laws)
             report.histograms[str(d)] = spectra.histogram(pooled, config.histogram_bins)
         if target_law is not None:
             dists = np.array([cauchy_sup_distance(law, target_law, grid) for law in laws])
@@ -235,7 +244,6 @@ def run(config: ExperimentConfig) -> Report:
                 {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance",
                  "mean": mean, "stderr": stderr}
             )
-            pooled = _pool(laws)
             report.rows.append(
                 {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance_pooled",
                  "mean": cauchy_sup_distance(pooled, target_law, grid), "stderr": float("nan")}

@@ -49,11 +49,10 @@ class HermitianSample:
 
 @dataclass(frozen=True)
 class ScalarSampler:
-    """A scalar law with a vectorized draw; the descriptor is only used for
-    reporting and for declaring symmetry where a model requires it."""
+    """A scalar law with a vectorized draw; `symmetric` declares symmetry
+    where a model requires it."""
 
     draw: "callable"  # draw(gen, n) -> ndarray of n reals
-    descriptor: str = ""
     symmetric: bool = False
 
 
@@ -117,21 +116,26 @@ def sample_P_gaussian(
     return HermitianSample(m)
 
 
+def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, draw_w=None) -> np.ndarray:
+    """sum_k x_k u_k w_k^* over a Poisson(d * lam) count of jumps x_k ~ rho and
+    sphere rows u_k; w = u, or independent rows drawn by draw_w(d, n, gen)."""
+    if lam < 0:
+        raise ValueError("intensity must be nonnegative")
+    n = int(gen.poisson(d * lam))
+    if n == 0:
+        return np.zeros((d, d), dtype=complex)
+    x = np.asarray(rho.draw(gen, n), dtype=float)
+    u = sample_sphere_vectors(d, n, gen)  # rows are the sphere vectors
+    w = u if draw_w is None else draw_w(d, n, gen)
+    return (u.T * x) @ w.conj()
+
+
 def sample_P_compound_poisson(
     rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     sphere projections, M = sum_k x_k u_k u_k^*."""
-    if lam < 0:
-        raise ValueError("intensity must be nonnegative")
-    gen = as_generator(rng)
-    n = int(gen.poisson(d * lam))
-    if n == 0:
-        return HermitianSample(np.zeros((d, d), dtype=complex))
-    x = np.asarray(rho.draw(gen, n), dtype=float)
-    u = sample_sphere_vectors(d, n, gen)  # rows are the sphere vectors
-    m = (u.T * x) @ u.conj()
-    return _hermitize(m)
+    return _hermitize(_rank_one_sum(rho, lam, d, as_generator(rng)))
 
 
 def default_inner_cut(t: LevyTriple) -> float:
@@ -153,10 +157,12 @@ class _Decomposition:
     substituted_var: float  # variance absorbed from jumps inside the cut
 
 
-def _decompose(t: LevyTriple, eps: float) -> _Decomposition:
+def _decompose(t: LevyTriple, eps: float | None) -> _Decomposition:
+    if eps is None:
+        eps = default_inner_cut(t)
     if eps <= 0:
         raise ValueError("inner cut must be positive")
-    inner, tail = truncate(t, eps)
+    inner, tail = truncate(t, eps)  # by this module's name: perfbench/tracing.py wraps it
     var0 = inner.G.mass_at(0.0)
     # jumps inside (0, eps] are absorbed as a Gaussian with matched first and
     # second cumulants (small-jump substitution)
@@ -171,15 +177,35 @@ def _decompose(t: LevyTriple, eps: float) -> _Decomposition:
     return _Decomposition(mean, var0 + sub_var, tail, sub_var)
 
 
-def _rho_sampler(tail: CompoundPoissonParams) -> ScalarSampler:
+def _jump_law(tail: CompoundPoissonParams, symmetric: bool = False) -> ScalarSampler:
+    """Draws from the tail's jump law rho (its atoms, by weight)."""
     locs = tail.rho.locations()
     ws = tail.rho.weights()
-    ws = ws / ws.sum()
+    p = ws / ws.sum()
+    return ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=p), symmetric)
 
-    def draw(gen, n):
-        return gen.choice(locs, size=n, p=ws)
 
-    return ScalarSampler(draw, descriptor="truncation-jump-law")
+def _sample_composite(
+    t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one,
+    symmetric: bool = False,
+) -> list[np.ndarray]:
+    """The composite sampler of both models: per sample, the entries of
+    gaussian_block(mean, var, d, gen) plus, when the cut leaves a tail, those
+    of rank_one(rho, lam, d, gen), all drawn from one generator.  Callers pass
+    the blocks by their module-level names, looked up per call, so wrappers
+    installed on those names (perfbench/tracing.py) are the ones run."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    dec = _decompose(t, inner_cut)
+    gen = as_generator(rng)
+    rho = _jump_law(dec.tail, symmetric) if dec.tail.lam > 0 else None
+    out = []
+    for _ in range(n_samples):
+        m = gaussian_block(dec.mean, dec.var, d, gen).entries
+        if rho is not None:
+            m = m + rank_one(rho, dec.tail.lam, d, gen).entries
+        out.append(m)
+    return out
 
 
 def sample_P(
@@ -206,23 +232,13 @@ def sample_P_many(
     inner_cut: float | None = None,
 ) -> list[HermitianSample]:
     """Batch variant of sample_P; the truncation decomposition is computed once."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    if inner_cut is None:
-        inner_cut = default_inner_cut(t)
     if d == 1:
         xs = sample_P_scalars(t, rng, n_samples, inner_cut)
         return [HermitianSample(np.array([[x]], dtype=complex)) for x in xs]
-    dec = _decompose(t, inner_cut)
-    gen = as_generator(rng)
-    out = []
-    rho = _rho_sampler(dec.tail) if dec.tail.lam > 0 else None
-    for _ in range(n_samples):
-        m = sample_P_gaussian(dec.mean, dec.var, d, gen).entries
-        if rho is not None:
-            m = m + sample_P_compound_poisson(rho, dec.tail.lam, d, gen).entries
-        out.append(HermitianSample(m))
-    return out
+    ms = _sample_composite(
+        t, d, rng, n_samples, inner_cut, sample_P_gaussian, sample_P_compound_poisson
+    )
+    return [HermitianSample(m) for m in ms]
 
 
 def sample_P_scalars(
@@ -234,8 +250,6 @@ def sample_P_scalars(
     """Vectorized d = 1 path: at dimension one the sphere projections are the
     constant 1, so the sampler reduces to drift + Gaussian + compound Poisson
     scalar sums."""
-    if inner_cut is None:
-        inner_cut = default_inner_cut(t)
     dec = _decompose(t, inner_cut)
     gen = as_generator(rng)
     out = dec.mean + np.sqrt(dec.var) * standard_normal(gen, n_samples)
@@ -243,9 +257,7 @@ def sample_P_scalars(
         counts = gen.poisson(dec.tail.lam, n_samples)
         total = int(counts.sum())
         if total:
-            locs = dec.tail.rho.locations()
-            ws = dec.tail.rho.weights()
-            jumps = gen.choice(locs, size=total, p=ws / ws.sum())
+            jumps = _jump_law(dec.tail).draw(gen, total)
             sums = np.zeros(n_samples)
             idx = np.repeat(np.arange(n_samples), counts)
             np.add.at(sums, idx, jumps)

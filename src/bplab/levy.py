@@ -105,6 +105,10 @@ class LevyTriple:
     gamma: float
     G: FiniteMeasure
 
+    def __post_init__(self):
+        if not math.isfinite(self.gamma):
+            raise ValueError("gamma must be finite")
+
     @property
     def gaussian_variance(self) -> float:
         return self.G.mass_at(0.0)
@@ -336,18 +340,32 @@ def triple_from_spec(spec) -> LevyTriple:
     if "preset" in spec:
         name = spec["preset"]
         if name == "gaussian":
-            return gaussian(float(spec["mean"]), float(spec["var"]))
+            return gaussian(_number(spec, "mean"), _number(spec, "var"))
         if name == "poisson":
-            return poisson(float(spec["lambda"]))
+            return poisson(_number(spec, "lambda"))
         if name == "cauchy":
-            return cauchy(float(spec["a"]), int(spec.get("nodes", 401)))
+            return cauchy(_number(spec, "a"), int(_number(spec, "nodes", 401)))
         if name == "dirac":
-            return dirac(float(spec["a"]))
+            return dirac(_number(spec, "a"))
         raise ValueError(f"unknown preset {name!r}")
     if "gamma" in spec:
-        atoms = tuple((float(u), float(w)) for u, w in spec.get("atoms", []))
-        return LevyTriple(float(spec["gamma"]), FiniteMeasure(atoms))
+        try:
+            atoms = tuple((float(u), float(w)) for u, w in spec.get("atoms", []))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"'atoms' must be a list of [location, weight] pairs: {exc}") from exc
+        return LevyTriple(_number(spec, "gamma"), FiniteMeasure(atoms))
     raise ValueError("triple spec needs 'gamma', 'preset' or 'convolve'")
+
+
+def _number(spec: dict, key: str, default: float | None = None) -> float:
+    """spec[key], or default when absent, as a finite float; errors name the key."""
+    try:
+        value = float(spec.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key!r} is missing or not a number") from exc
+    if not math.isfinite(value):
+        raise ValueError(f"{key!r} must be finite")
+    return value
 
 
 def triple_to_spec(t: LevyTriple) -> dict:

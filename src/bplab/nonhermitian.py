@@ -10,7 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .levy import LevyTriple, is_symmetric
-from .hermitian import ScalarSampler, _decompose, default_inner_cut, sample_haar_unitary
+from .hermitian import ScalarSampler, _rank_one_sum, _sample_composite, sample_haar_unitary
+# standard_normal is not called here; perfbench/tracing.py wraps it by this name
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors
 from .spectra import EmpiricalDistribution
@@ -65,23 +66,25 @@ def sample_L_gaussian(
     return ComplexMatrixSample(z)
 
 
+def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
+    """The Gaussian block of L: Ginibre of variance var (zero when var is 0).
+    The mean is dropped: L is only defined for symmetric triples."""
+    m = np.zeros((d, d), dtype=complex)
+    if var > 0:
+        m = m + sample_L_gaussian(d, gen, scale=var).entries
+    return ComplexMatrixSample(m)
+
+
 def sample_L_compound_poisson(
     rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> ComplexMatrixSample:
     """Symmetric compound Poisson case: a Poisson(d * lam) number of weighted
     rank-one outer products u v^* with independent sphere vectors u, v."""
-    if lam < 0:
-        raise ValueError("intensity must be nonnegative")
     if not rho.symmetric:
         raise ValueError("jump law must be declared symmetric")
-    gen = as_generator(rng)
-    n = int(gen.poisson(d * lam))
-    if n == 0:
-        return ComplexMatrixSample(np.zeros((d, d), dtype=complex))
-    x = np.asarray(rho.draw(gen, n), dtype=float)
-    u = sample_sphere_vectors(d, n, gen)
-    v = sample_sphere_vectors(d, n, gen)
-    return ComplexMatrixSample((u.T * x) @ v.conj())
+    # v comes from this module's sample_sphere_vectors: perfbench/tracing.py wraps it
+    m = _rank_one_sum(rho, lam, d, as_generator(rng), sample_sphere_vectors)
+    return ComplexMatrixSample(m)
 
 
 def sample_L(
@@ -106,31 +109,11 @@ def sample_L_many(
     """Batch variant of sample_L; the decomposition is computed once."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
-    if d < 1:
-        raise ValueError("d must be positive")
-    if inner_cut is None:
-        inner_cut = default_inner_cut(t)
-    dec = _decompose(t, inner_cut)
-    gen = as_generator(rng)
-    rho = None
-    if dec.tail.lam > 0:
-        locs = dec.tail.rho.locations()
-        ws = dec.tail.rho.weights()
-        p = ws / ws.sum()
-        rho = ScalarSampler(
-            lambda g, n: g.choice(locs, size=n, p=p),
-            descriptor="truncation-jump-law",
-            symmetric=True,
-        )
-    out = []
-    for _ in range(n_samples):
-        m = np.zeros((d, d), dtype=complex)
-        if dec.var > 0:
-            m = m + sample_L_gaussian(d, gen, scale=dec.var).entries
-        if rho is not None:
-            m = m + sample_L_compound_poisson(rho, dec.tail.lam, d, gen).entries
-        out.append(ComplexMatrixSample(m))
-    return out
+    ms = _sample_composite(
+        t, d, rng, n_samples, inner_cut, _ginibre_block, sample_L_compound_poisson,
+        symmetric=True,
+    )
+    return [ComplexMatrixSample(m) for m in ms]
 
 
 def singular_values(M: ComplexMatrixSample) -> np.ndarray:

@@ -1,11 +1,15 @@
 import csv
 import io
 import json
+import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import bplab
 from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
 from bplab.spectra import psi_image_moments
 from bplab.levy import triple_from_spec
@@ -52,6 +56,19 @@ def test_good_config_parses():
         ({"outputs": {"moments": {"kmax": 0}}}, "outputs.moments.kmax"),
         ({"inner_cut": -1.0}, "inner_cut"),
         ({"triple": {"preset": "nope"}}, "triple"),
+        ({"outputs": {"moments": 3}}, "outputs.moments"),
+        ({"outputs": {"histogram": "x"}}, "outputs.histogram"),
+        ({"outputs": {"moments": {"kmax": "x"}}}, "outputs.moments.kmax"),
+        ({"outputs": {"histogram": {"bins": True}}}, "outputs.histogram.bins"),
+        ({"inner_cut": "abc"}, "inner_cut"),
+        ({"inner_cut": float("nan")}, "inner_cut"),
+        ({"trials_per_dim": True}, "trials_per_dim"),
+        ({"dims": [True]}, "dims"),
+        ({"dims": [3, "a"]}, "dims"),
+        ({"seed": True}, "seed"),
+        ({"triple": {"preset": "gaussian", "mean": 0}}, "triple"),
+        ({"triple": {"preset": "gaussian", "mean": float("nan"), "var": 1}}, "triple"),
+        ({"triple": {"gamma": float("inf")}}, "triple"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -95,6 +112,36 @@ def test_run_is_deterministic_across_worker_counts(monkeypatch):
     monkeypatch.setenv("BPLAB_THREADS", "4")
     second = run(ExperimentConfig.from_dict(doc)).to_json()
     assert first == second
+
+
+def test_run_agrees_across_blas_thread_counts(tmp_path):
+    # threaded BLAS may sum matrix products in another order: at d = 200 the
+    # values differ in the last digits.  The README promises 1e-12 relative,
+    # and 1e-12 absolute for transform distances (bounded by 1 on the grid).
+    doc = config(triple={"preset": "poisson", "lambda": 0.5}, dims=[200], trials_per_dim=3,
+                 outputs={"moments": {"kmax": 4}, "histogram": {"bins": 10},
+                          "cauchy_distance": {"target": {"law": "marchenko_pastur",
+                                                         "params": [0.5]}}})
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bplab.__file__)))
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, BPLAB_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-m", "bplab.cli", "run", str(path)], env=env,
+                             capture_output=True, text=True, check=True, timeout=300)
+        reports.append(json.loads(out.stdout))
+    one, two = reports
+    assert [(r["dim"], r["stat_name"]) for r in one["rows"]] == [
+        (r["dim"], r["stat_name"]) for r in two["rows"]]
+    for a, b in zip(one["rows"], two["rows"]):
+        distance = a["stat_name"].startswith("cauchy_distance")
+        rtol, atol = (0.0, 1e-12) if distance else (1e-12, 0.0)
+        assert np.allclose([a["mean"], a["stderr"]], [b["mean"], b["stderr"]],
+                           rtol=rtol, atol=atol, equal_nan=True), (a, b)
+    centres = [np.array(r["histograms"]["200"])[:, 0] for r in reports]
+    assert np.allclose(centres[0], centres[1], rtol=1e-12, atol=0.0)
 
 
 def test_histogram_and_distance_outputs():
@@ -162,6 +209,12 @@ def test_cli_moments_subcommand(capsys):
 def test_cli_moments_rejects_bad_spec(capsys):
     assert main(["moments", "{not json"]) == 2
     assert main(["moments", json.dumps({"preset": "nope"})]) == 2
+    for spec, name in [({"preset": "gaussian", "mean": 0}, "'var'"),
+                       ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "'mean'"),
+                       ({"gamma": float("inf")}, "'gamma'")]:
+        capsys.readouterr()
+        assert main(["moments", json.dumps(spec)]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_cli_sample_deterministic(capsys):

@@ -37,7 +37,7 @@ def test_haar_unitary_one_dimensional_phase():
 
 
 def test_sample_Q_spectrum_is_the_diagonal_draw():
-    mu = ScalarSampler(lambda gen, n: np.arange(1.0, n + 1.0), descriptor="ladder")
+    mu = ScalarSampler(lambda gen, n: np.arange(1.0, n + 1.0))
     m = sample_Q(mu, 6, RngStream(1, 0))
     eigs = np.linalg.eigvalsh(m.entries)
     assert np.allclose(eigs, np.arange(1.0, 7.0), atol=1e-10)
@@ -96,6 +96,26 @@ def test_scalar_path_and_matrix_path_agree_at_dimension_one():
     xs = sample_P_scalars(t, RngStream(7, 3), 8)
     ms = sample_P_many(t, 1, RngStream(7, 3), 8)
     assert np.allclose(xs, [m.entries[0, 0].real for m in ms], atol=0)
+
+
+def test_composite_draw_order_is_gaussian_block_then_rank_ones():
+    # gaussian plus a poisson tail; one generator serves both blocks, in turn
+    from bplab.hermitian import _decompose
+
+    t = convolve(gaussian(0.3, 0.5), poisson(0.8))
+    d = 5
+    dec = _decompose(t, default_inner_cut(t))
+    locs, ws = dec.tail.rho.locations(), dec.tail.rho.weights()
+    rho = ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=ws / ws.sum()))
+    gen = RngStream(12, 0).generator()
+    expected, tails = [], []
+    for _ in range(2):
+        m = sample_P_gaussian(dec.mean, dec.var, d, gen).entries
+        tails.append(sample_P_compound_poisson(rho, dec.tail.lam, d, gen).entries)
+        expected.append(m + tails[-1])
+    got = sample_P_many(t, d, RngStream(12, 0), 2)
+    assert all(np.array_equal(g.entries, e) for g, e in zip(got, expected))
+    assert dec.var > 0 and any(np.any(r != 0) for r in tails)
 
 
 def test_dirac_triple_gives_constant_matrix():

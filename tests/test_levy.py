@@ -284,6 +284,13 @@ def test_spec_cauchy_nodes():
         {"preset": "unknown"},
         {"convolve": []},
         {"gamma": 0.0, "atoms": [[0.0, -1.0]]},
+        {"preset": "gaussian", "mean": 0.0},
+        {"preset": "gaussian", "mean": math.nan, "var": 1.0},
+        {"preset": "poisson", "lambda": None},
+        {"preset": "cauchy", "a": 1.0, "nodes": None},
+        {"gamma": math.inf},
+        {"gamma": 0.0, "atoms": 5},
+        {"convolve": [{"gamma": 1e308}, {"gamma": 1e308}]},  # gamma overflows to inf
     ],
 )
 def test_spec_rejects_malformed(bad):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bplab.hermitian import ScalarSampler
-from bplab.levy import FiniteMeasure, LevyTriple, cauchy, gaussian, poisson
+from bplab.levy import FiniteMeasure, LevyTriple, cauchy, convolve, gaussian, poisson
 from bplab.nonhermitian import (
     ComplexMatrixSample,
     sample_K,
@@ -61,6 +61,27 @@ def test_compound_poisson_zero_intensity():
     rho = ScalarSampler(lambda gen, n: np.ones(n), symmetric=True)
     m = sample_L_compound_poisson(rho, 0.0, 4, RngStream(2, 1))
     assert np.all(m.entries == 0)
+
+
+def test_composite_draw_order_is_ginibre_block_then_rank_ones():
+    # Ginibre block plus a symmetric two-point tail, both from one generator
+    from bplab.hermitian import _decompose
+
+    t = convolve(gaussian(0.0, 0.7), sym_two_point())
+    d = 5
+    dec = _decompose(t, 0.5)
+    locs, ws = dec.tail.rho.locations(), dec.tail.rho.weights()
+    rho = ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=ws / ws.sum()),
+                        symmetric=True)
+    gen = RngStream(13, 0).generator()
+    expected, tails = [], []
+    for _ in range(2):
+        m = np.zeros((d, d), dtype=complex) + sample_L_gaussian(d, gen, scale=dec.var).entries
+        tails.append(sample_L_compound_poisson(rho, dec.tail.lam, d, gen).entries)
+        expected.append(m + tails[-1])
+    got = sample_L_many(t, d, RngStream(13, 0), 2, inner_cut=0.5)
+    assert all(np.array_equal(g.entries, e) for g, e in zip(got, expected))
+    assert dec.var > 0 and any(np.any(r != 0) for r in tails)
 
 
 def test_composite_sampler_rejects_asymmetric_triples():
