@@ -392,6 +392,11 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="run the built-in acceptance suite")
 
     args = parser.parse_args(argv)
+    for name, least in (("dim", 1), ("trials", 1), ("kmax", 1), ("count", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            print(f"config error: --{name} must be >= {least}", file=sys.stderr)
+            return 2
 
     try:
         if args.command == "run":

@@ -10,11 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import (
-    CompoundPoissonParams,
-    LevyTriple,
-    truncate,
-)
+from .levy import CompoundPoissonParams, LevyTriple, running_sum, truncate
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors
 
@@ -141,10 +137,9 @@ def sample_P_compound_poisson(
 def default_inner_cut(t: LevyTriple) -> float:
     """Half the smallest nonzero atom location of G: makes the decomposition
     exact for atomic measures.  Falls back to 1.0 for a jump-free triple."""
-    nonzero = [abs(u) for u, _ in t.G.atoms if u != 0.0]
-    if not nonzero:
-        return 1.0
-    return min(nonzero) / 2.0
+    locs = t.G.locations()
+    nonzero = np.abs(locs[locs != 0.0])
+    return float(nonzero.min()) / 2.0 if nonzero.size else 1.0
 
 
 @dataclass(frozen=True)
@@ -166,13 +161,10 @@ def _decompose(t: LevyTriple, eps: float | None) -> _Decomposition:
     var0 = inner.G.mass_at(0.0)
     # jumps inside (0, eps] are absorbed as a Gaussian with matched first and
     # second cumulants (small-jump substitution)
-    sub_mean = 0.0
-    sub_var = 0.0
-    for u, w in inner.G.atoms:
-        if u == 0.0:
-            continue
-        sub_mean += w * u
-        sub_var += w * (1.0 + u * u)
+    locs, ws = inner.G.locations(), inner.G.weights()
+    u, w = locs[locs != 0.0], ws[locs != 0.0]
+    sub_mean = running_sum(w * u)
+    sub_var = running_sum(w * (1.0 + u * u))
     mean = inner.gamma + sub_mean  # first cumulant of the inner triple
     return _Decomposition(mean, var0 + sub_var, tail, sub_var)
 

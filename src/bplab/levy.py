@@ -37,34 +37,45 @@ __all__ = [
 _MERGE_TOL = 1e-12
 
 
+def running_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ..., left to right like a Python loop (np.sum
+    adds pairwise, which rounds differently)."""
+    return float(np.cumsum(np.append(0.0, x))[-1])
+
+
 @dataclass(frozen=True)
 class FiniteMeasure:
-    """Nonnegative atomic measure on the reals; duplicate locations merge."""
+    """Nonnegative atomic measure on the reals, merged once into read-only
+    sorted arrays of locations and weights; `atoms` becomes the sorted tuple
+    of merged pairs.  Sorted neighbours within 1e-12 merge (a chain of them
+    merges whole) into the group's first-inserted location, with the group's
+    weights summed in input order."""
 
-    atoms: tuple[tuple[float, float], ...]
+    atoms: tuple[tuple[float, float], ...]  # or an (n, 2) array
 
     def __post_init__(self):
-        merged: dict[float, float] = {}
-        order: list[float] = []
-        for loc, w in self.atoms:
-            loc = float(loc)
-            w = float(w)
-            if not math.isfinite(loc) or not math.isfinite(w):
-                raise ValueError("atom locations and weights must be finite")
-            if w < 0:
-                raise ValueError("atom weights must be nonnegative")
-            for known in order:
-                if abs(known - loc) <= _MERGE_TOL:
-                    loc = known
-                    break
-            if loc in merged:
-                merged[loc] += w
-            else:
-                merged[loc] = w
-                order.append(loc)
-        object.__setattr__(
-            self, "atoms", tuple((loc, merged[loc]) for loc in sorted(order))
-        )
+        pairs = np.asarray(self.atoms, dtype=float)
+        pairs = pairs.reshape(0, 2) if pairs.shape == (0,) else pairs
+        if pairs.ndim != 2 or pairs.shape[1] != 2:
+            raise ValueError("atoms must be (location, weight) pairs")
+        if not np.isfinite(pairs).all():
+            raise ValueError("atom locations and weights must be finite")
+        if (pairs[:, 1] < 0).any():
+            raise ValueError("atom weights must be nonnegative")
+        order = np.argsort(pairs[:, 0], kind="stable")
+        opens = np.diff(np.append(-np.inf, pairs[order, 0])) > _MERGE_TOL  # group starts
+        group = np.empty_like(order)  # group of each atom, in input order
+        group[order] = np.cumsum(opens) - 1
+        starts = np.flatnonzero(opens)
+        locs = pairs[np.minimum.reduceat(order, starts) if order.size else order, 0]
+        # -0.0 is the identity of float addition: each sum is the one a Python
+        # loop over the input gives, signed zeros included
+        ws = np.full(starts.size, -0.0)
+        np.add.at(ws, group, pairs[:, 1])
+        locs.flags.writeable = ws.flags.writeable = False
+        object.__setattr__(self, "_locs", locs)
+        object.__setattr__(self, "_weights", ws)
+        object.__setattr__(self, "atoms", tuple(zip(locs.tolist(), ws.tolist())))
 
     @classmethod
     def zero(cls) -> "FiniteMeasure":
@@ -76,13 +87,12 @@ class FiniteMeasure:
 
     @property
     def total_mass(self) -> float:
-        return sum(w for _, w in self.atoms)
+        return running_sum(self._weights)
 
     def mass_at(self, loc: float) -> float:
-        for u, w in self.atoms:
-            if abs(u - loc) <= _MERGE_TOL:
-                return w
-        return 0.0
+        """Weight of the first atom within 1e-12 of loc, or 0."""
+        hit = np.flatnonzero(np.abs(self._locs - loc) <= _MERGE_TOL)
+        return float(self._weights[hit[0]]) if hit.size else 0.0
 
     def integrate(self, f) -> float:
         """Sum of f(u) * weight over atoms."""
@@ -92,10 +102,12 @@ class FiniteMeasure:
         return FiniteMeasure(self.atoms + other.atoms)
 
     def locations(self) -> np.ndarray:
-        return np.array([u for u, _ in self.atoms])
+        """The sorted atom locations, read-only."""
+        return self._locs
 
     def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms])
+        """The atom weights, in the order of locations(), read-only."""
+        return self._weights
 
 
 @dataclass(frozen=True)
@@ -204,23 +216,15 @@ def truncate(t: LevyTriple, cut: float) -> tuple[LevyTriple, CompoundPoissonPara
     """
     if cut <= 0:
         raise ValueError("cut must be positive")
-    inner_atoms = []
-    lam = 0.0
-    a = 0.0
-    rho_atoms = []
-    for u, w in t.G.atoms:
-        if abs(u) <= cut:
-            inner_atoms.append((u, w))
-        else:
-            intensity = w * (1.0 + u * u) / (u * u)
-            lam += intensity
-            a -= w / u
-            rho_atoms.append((u, intensity))
-    if lam > 0:
-        rho = FiniteMeasure(tuple((u, wi / lam) for u, wi in rho_atoms))
-    else:
-        rho = FiniteMeasure.zero()
-    inner = LevyTriple(t.gamma + a, FiniteMeasure(tuple(inner_atoms)))
+    u, w = t.G.locations(), t.G.weights()
+    out = np.abs(u) > cut
+    u_out, w_out = u[out], w[out]
+    intensity = w_out * (1.0 + u_out * u_out) / (u_out * u_out)
+    # running sums in atom order, as the sampled bits depend on them
+    lam = running_sum(intensity)
+    a = running_sum(-(w_out / u_out))
+    rho = FiniteMeasure(np.column_stack((u_out, intensity / lam)) if lam > 0 else ())
+    inner = LevyTriple(t.gamma + a, FiniteMeasure(np.column_stack((u[~out], w[~out]))))
     return inner, CompoundPoissonParams(lam, rho, a)
 
 

@@ -73,6 +73,26 @@ def ks_integer(samples, cdf, kmax):
     return float(np.max(np.abs(emp - cdf(ks))))
 
 
+def merge_atoms_scan(atoms, tol=1e-12):
+    """Merged (location, weight) pairs by the O(n^2) insertion scan: each
+    atom joins the first earlier-inserted location within tol, weights add
+    in input order, and the merged pairs come out sorted by location."""
+    merged = {}
+    order = []
+    for loc, w in atoms:
+        loc = float(loc)
+        for known in order:
+            if abs(known - loc) <= tol:
+                loc = known
+                break
+        if loc in merged:
+            merged[loc] += float(w)
+        else:
+            merged[loc] = float(w)
+            order.append(loc)
+    return tuple((loc, merged[loc]) for loc in sorted(order))
+
+
 def is_symmetric_scan(t, tol=1e-9):
     """Symmetry of a triple by the pairwise O(n^2) scan: gamma = 0, and each
     atom u != 0 has a partner, the first atom um in sorted order with

@@ -217,6 +217,22 @@ def test_cli_moments_rejects_bad_spec(capsys):
         assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["sample", '{"preset":"dirac","a":1}', "--dim", "0"], "--dim"),
+        (["sample", '{"preset":"dirac","a":1}', "--dim", "-3"], "--dim"),
+        (["project", "--dim", "0", "--count", "1"], "--dim"),
+        (["project", "--dim", "4", "--count", "-1"], "--count"),
+        (["project", "--dim", "4", "--count", "1", "--trials", "0"], "--trials"),
+        (["moments", '{"preset":"dirac","a":1}', "--kmax", "0"], "--kmax"),
+    ],
+)
+def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
+    assert main(argv) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_cli_sample_deterministic(capsys):
     spec = json.dumps({"preset": "gaussian", "mean": 0.0, "var": 1.0})
     assert main(["sample", spec, "--dim", "3", "--seed", "5"]) == 0
