@@ -21,12 +21,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .hermitian import sample_P_many
+from .hermitian import default_inner_cut, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, is_symmetric, triple_from_spec
+from .levy import LevyTriple, is_symmetric, triple_from_spec, truncate
 from .rng import RngStream
 from .sphere import sample_sphere_vectors
 from .spectra import (
+    MAX_ENTRIES,
     EmpiricalDistribution,
     GridSpec,
     ReferenceLaw,
@@ -98,8 +99,9 @@ class ExperimentConfig:
                     raise ConfigError("outputs.moments.kmax", "must be a positive integer")
             elif key == "histogram":
                 bins = val.get("bins", 50)
-                if not _is_int(bins) or bins < 1:
-                    raise ConfigError("outputs.histogram.bins", "must be a positive integer")
+                if not _is_int(bins) or not 1 <= bins <= MAX_ENTRIES:
+                    raise ConfigError("outputs.histogram.bins",
+                                      f"must be an integer in [1, {MAX_ENTRIES}]")
             elif key == "cauchy_distance":
                 target, grid = _parse_distance_target(val)
             else:
@@ -117,6 +119,7 @@ class ExperimentConfig:
             raise ConfigError("triple", str(exc)) from exc
         if model == "nonhermitian" and not is_symmetric(triple):
             raise ConfigError("triple", "nonhermitian model requires a symmetric triple")
+        _check_budget(model, triple, cut, dims[-1])
         return cls(
             model=model,
             triple_spec=doc["triple"],
@@ -130,6 +133,23 @@ class ExperimentConfig:
             distance_grid=grid,
             inner_cut=cut,
         )
+
+
+def _check_budget(model: str, triple: LevyTriple, cut: float | None, d: int) -> None:
+    """A sample holds d^2 matrix entries plus k sphere rows of d entries per
+    rank-one jump (k = 1 for P, 2 for L), with E[n] = d * lam jumps in the
+    tail beyond the cut.  Both grow with d, so only the largest dim is
+    checked against MAX_ENTRIES."""
+    if d * d > MAX_ENTRIES:
+        raise ConfigError("dims", f"d = {d} needs {d * d} matrix entries, over the "
+                          f"budget of {MAX_ENTRIES}")
+    cut = default_inner_cut(triple) if cut is None else cut
+    lam = truncate(triple, cut)[1].lam
+    entries = d * d + (2 if model == "nonhermitian" else 1) * d * d * lam
+    if entries > MAX_ENTRIES:
+        raise ConfigError("triple", f"at d = {d} and inner cut {cut:g}, tail intensity "
+                          f"{lam:g} needs {entries:.3g} complex entries, over the "
+                          f"budget of {MAX_ENTRIES}")
 
 
 def _is_int(value) -> bool:

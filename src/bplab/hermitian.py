@@ -85,10 +85,7 @@ def _gue_matrix(d: int, sigma2: float, gen: np.random.Generator) -> np.ndarray:
     diag = standard_normal(gen, d) * np.sqrt(sigma2)
     n_off = d * (d - 1) // 2
     if n_off:
-        re = standard_normal(gen, n_off) * np.sqrt(sigma2 / 2.0)
-        im = standard_normal(gen, n_off) * np.sqrt(sigma2 / 2.0)
-        iu = np.triu_indices(d, k=1)
-        m[iu] = re + 1j * im
+        m[np.triu_indices(d, k=1)] = standard_complex_normal(gen, n_off) * np.sqrt(sigma2)
         m += m.conj().T
     m[np.diag_indices(d)] = diag
     return m
@@ -112,17 +109,17 @@ def sample_P_gaussian(
     return HermitianSample(m)
 
 
-def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, draw_w=None) -> np.ndarray:
+def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, pairs=False) -> np.ndarray:
     """sum_k x_k u_k w_k^* over a Poisson(d * lam) count of jumps x_k ~ rho and
-    sphere rows u_k; w = u, or independent rows drawn by draw_w(d, n, gen)."""
+    sphere rows u_k; w = u, or with pairs an independent row drawn right after u_k."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(gen.poisson(d * lam))
     if n == 0:
         return np.zeros((d, d), dtype=complex)
     x = np.asarray(rho.draw(gen, n), dtype=float)
-    u = sample_sphere_vectors(d, n, gen)  # rows are the sphere vectors
-    w = u if draw_w is None else draw_w(d, n, gen)
+    rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
+    u, w = rows[:, 0], rows[:, -1]
     return (u.T * x) @ w.conj()
 
 

@@ -13,7 +13,7 @@ from .levy import LevyTriple, is_symmetric
 from .hermitian import ScalarSampler, _rank_one_sum, _sample_composite, sample_haar_unitary
 # standard_normal is not called here; perfbench/tracing.py wraps it by this name
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
-from .sphere import sample_sphere_vectors
+from .sphere import sample_sphere_vectors  # not called here either; traced by this name
 from .spectra import EmpiricalDistribution
 
 __all__ = [
@@ -82,8 +82,7 @@ def sample_L_compound_poisson(
     rank-one outer products u v^* with independent sphere vectors u, v."""
     if not rho.symmetric:
         raise ValueError("jump law must be declared symmetric")
-    # v comes from this module's sample_sphere_vectors: perfbench/tracing.py wraps it
-    m = _rank_one_sum(rho, lam, d, as_generator(rng), sample_sphere_vectors)
+    m = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
     return ComplexMatrixSample(m)
 
 

@@ -2,8 +2,14 @@
 
 Each (seed, stream_id) pair names an independent Philox stream, so trials
 can be farmed out to workers in any order and still reproduce bit-for-bit.
-Gaussian variates are produced by Box-Muller on uniforms, which keeps
-draws identical across numpy versions and platforms.
+Normal variates come from numpy's own ziggurat on that stream, and a complex
+normal is one interleaved (re, im) pair, so n draws followed by m draws equal
+n + m draws in one call, however a caller chunks them.
+
+For one numpy version, draws are bit-identical across CPU SIMD levels
+(tests/test_rng.py pins this with a golden hash, and redraws with the
+AVX-512 kernels switched off).  numpy does not promise Generator streams
+across versions (NEP 19), so another numpy may draw other numbers.
 """
 
 from __future__ import annotations
@@ -45,18 +51,12 @@ def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
 
 
 def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """N(0,1) variates via Box-Muller on pairs of uniforms."""
-    n = int(np.prod(size)) if not np.isscalar(size) else int(size)
-    half = (n + 1) // 2
-    u1 = 1.0 - gen.random(half)  # in (0, 1], keeps log finite
-    u2 = gen.random(half)
-    r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)])
-    return z[:n].reshape(size)
+    """N(0,1) variates: numpy's ziggurat."""
+    return gen.standard_normal(size)
 
 
 def standard_complex_normal(gen: np.random.Generator, size) -> np.ndarray:
-    """Standard complex Gaussians: real and imaginary parts N(0, 1/2) each."""
-    re = standard_normal(gen, size)
-    im = standard_normal(gen, size)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """Standard complex Gaussians, real and imaginary parts N(0, 1/2) each,
+    drawn as consecutive (re, im) pairs."""
+    shape = (size,) if np.ndim(size) == 0 else tuple(size)
+    return gen.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)

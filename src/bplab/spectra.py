@@ -13,6 +13,7 @@ from .cumulants import CumulantSequence, MomentSequence, bp_transport, moments_f
 from .levy import LevyTriple, cumulants_from_triple
 
 __all__ = [
+    "MAX_ENTRIES",
     "EmpiricalDistribution",
     "ReferenceLaw",
     "semicircle",
@@ -29,6 +30,11 @@ __all__ = [
     "psi_image_moments",
     "histogram",
 ]
+
+# The most complex values one array of a run may hold: 2**26, or 1 GiB.
+# Configs whose matrices or distance grid would need more are rejected when
+# they are parsed, before anything is drawn.
+MAX_ENTRIES = 2**26
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,9 @@ class GridSpec:
             math.isfinite(y) and y >= 1.0 for y in self.imaginary_levels
         ):
             raise ValueError("imaginary_levels must be finite and >= 1")
+        n_points = ((hi - lo) / self.real_step + 1.0) * len(self.imaginary_levels)
+        if n_points > MAX_ENTRIES:
+            raise ValueError(f"{n_points:.3g} grid points exceed the budget of {MAX_ENTRIES}")
 
     def points(self) -> np.ndarray:
         lo, hi = self.real_range

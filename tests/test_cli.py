@@ -1,17 +1,19 @@
 import csv
+import importlib.util
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bplab
 from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
-from bplab.spectra import psi_image_moments
+from bplab.spectra import MAX_ENTRIES, psi_image_moments
 from bplab.levy import triple_from_spec
 
 
@@ -298,6 +300,62 @@ def test_cli_run_bad_distance_target_exits_2(tmp_path, capsys, distance, field):
     captured = capsys.readouterr()
     assert field in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"triple": {"preset": "poisson", "lambda": 1e9}, "dims": [4]}, "triple"),
+        ({"dims": [200000]}, "dims"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [2.0]},
+                                          "grid": {"real_step": 1e-9}}}},
+         "outputs.cauchy_distance.grid"),
+        ({"outputs": {"histogram": {"bins": 10**12}}}, "outputs.histogram.bins"),
+    ],
+    ids=["tail-intensity", "dim", "grid-points", "histogram-bins"],
+)
+def test_cli_run_over_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                     overrides, field):
+    def no_run(config):
+        raise AssertionError("the config should be refused before the run")
+
+    monkeypatch.setattr("bplab.cli.run", no_run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(**overrides)))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err and str(MAX_ENTRIES) in captured.err
+    assert captured.out == ""
+
+
+def test_budget_counts_two_rows_per_jump_for_the_nonhermitian_model():
+    # two-point symmetric tail of intensity 2 at d = 4096: d^2 (1 + 2) entries
+    # fit the budget for P, d^2 (1 + 2 * 2) do not for L
+    doc = config(triple={"gamma": 0.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}, dims=[4096])
+    assert 3 * 4096**2 <= MAX_ENTRIES < 5 * 4096**2
+    assert ExperimentConfig.from_dict(doc).dims == (4096,)
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(doc, model="nonhermitian"))
+    assert err.value.path == "triple"
+
+
+def test_budget_uses_the_configured_inner_cut():
+    # a smaller cut moves more of the Cauchy quadrature into the tail
+    doc = config(model="nonhermitian", triple={"preset": "cauchy", "a": 1.0, "nodes": 1001},
+                 dims=[1000], inner_cut=0.05)
+    assert ExperimentConfig.from_dict(doc).inner_cut == 0.05
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(dict(doc, inner_cut=0.002))
+    assert err.value.path == "triple"
+
+
+def test_benchmark_workloads_fit_the_budget():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for doc in workloads.WORKLOADS.values():
+        ExperimentConfig.from_dict(dict(doc, seed=5))
 
 
 def test_cli_project_subcommand(tmp_path):

@@ -15,6 +15,7 @@ from bplab.nonhermitian import (
 )
 from bplab.rng import RngStream
 from bplab.spectra import empirical_moments
+from bplab.sphere import sample_sphere_vectors
 
 
 def sym_two_point():
@@ -61,6 +62,19 @@ def test_compound_poisson_zero_intensity():
     rho = ScalarSampler(lambda gen, n: np.ones(n), symmetric=True)
     m = sample_L_compound_poisson(rho, 0.0, 4, RngStream(2, 1))
     assert np.all(m.entries == 0)
+
+
+def test_rank_one_rows_are_drawn_per_jump():
+    # v_k is the sphere row drawn right after u_k, so the variates of jump k
+    # do not depend on how many jumps follow it
+    rho = ScalarSampler(lambda gen, n: gen.choice([-1.0, 1.0], size=n), symmetric=True)
+    m = sample_L_compound_poisson(rho, 1.5, 4, RngStream(9, 0)).entries
+    gen = RngStream(9, 0).generator()
+    n = int(gen.poisson(4 * 1.5))
+    x = gen.choice([-1.0, 1.0], size=n)
+    rows = sample_sphere_vectors(4, 2 * n, gen)
+    expected = sum(x[k] * np.outer(rows[2 * k], rows[2 * k + 1].conj()) for k in range(n))
+    assert n > 1 and np.allclose(m, expected, rtol=0.0, atol=1e-12)
 
 
 def test_composite_draw_order_is_ginibre_block_then_rank_ones():

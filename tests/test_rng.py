@@ -1,0 +1,85 @@
+"""The variate stream: a pinned hash of a short draw, the same bits with numpy's
+AVX-512 kernels switched off, and a draw layout that chunking cannot change."""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+
+import bplab
+from bplab.rng import RngStream, standard_complex_normal, standard_normal
+from bplab.sphere import sample_sphere_vectors
+
+# sha256 of 1000 standard_normal then 1000 standard_complex_normal values drawn
+# from RngStream(7, 0), as little-endian bytes.  numpy does not promise
+# Generator streams across versions (NEP 19): a new numpy may change this.
+GOLDEN_SHA256 = "70a48bd0eecac52f5d4dc2e1ba08f556de1f2239fa635344bc58f5d270d6cc1d"
+
+# numpy's runtime-dispatch names for the AVX-512 levels of x86-64.
+AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+_DRAW = """
+import hashlib, json
+from bplab.rng import RngStream, standard_complex_normal, standard_normal
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy < 2
+    from numpy.core._multiarray_umath import __cpu_features__
+gen = RngStream(7, 0).generator()
+real = standard_normal(gen, 1000).astype("<f8")
+cplx = standard_complex_normal(gen, 1000).astype("<c16")
+print(json.dumps({"sha256": hashlib.sha256(real.tobytes() + cplx.tobytes()).hexdigest(),
+                  "features": __cpu_features__}))
+"""
+
+
+def _draw(disabled: str = "") -> dict:
+    """Run the short draw in a fresh interpreter with the given numpy CPU
+    features disabled; returns its hash and the features it ran with."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bplab.__file__)))
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", _DRAW], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    return json.loads(out.stdout)
+
+
+def test_short_draw_matches_golden_hash():
+    gen = RngStream(7, 0).generator()
+    real = standard_normal(gen, 1000).astype("<f8")
+    cplx = standard_complex_normal(gen, 1000).astype("<c16")
+    assert hashlib.sha256(real.tobytes() + cplx.tobytes()).hexdigest() == GOLDEN_SHA256
+
+
+def test_draws_are_identical_without_avx512():
+    host = _draw()
+    active = [f for f in AVX512_FEATURES if host["features"].get(f)]
+    if not active:
+        pytest.skip("no AVX-512 dispatch level is active on this host")
+    off = _draw(" ".join(AVX512_FEATURES))
+    assert not any(off["features"].get(f) for f in active)
+    assert off["sha256"] == host["sha256"] == GOLDEN_SHA256
+
+
+@pytest.mark.parametrize(
+    "draw",
+    [standard_normal, standard_complex_normal,
+     lambda gen, n: sample_sphere_vectors(7, n, gen)],
+    ids=["standard_normal", "standard_complex_normal", "sphere_rows"],
+)
+def test_draws_do_not_depend_on_chunking(draw):
+    gen = RngStream(11, 3).generator()
+    chunked = np.concatenate([draw(gen, n) for n in (3333, 1, 6666)])
+    whole = draw(RngStream(11, 3).generator(), 10000)
+    assert chunked.tobytes() == whole.tobytes()
+
+
+def test_complex_normal_is_interleaved_pairs():
+    z = standard_complex_normal(RngStream(2, 0).generator(), (3, 4))
+    pairs = standard_normal(RngStream(2, 0).generator(), (3, 4, 2))
+    assert z.shape == (3, 4)
+    assert np.array_equal(z, (pairs[..., 0] + 1j * pairs[..., 1]) / np.sqrt(2.0))
