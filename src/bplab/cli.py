@@ -21,13 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectra
-from .hermitian import default_inner_cut, sample_P_many
+from .hermitian import HermitianSample, default_inner_cut, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
 from .levy import LevyTriple, is_symmetric, triple_from_spec, truncate
 from .rng import RngStream
 from .sphere import sample_sphere_vectors
 from .spectra import (
     MAX_ENTRIES,
+    MAX_KMAX,
     EmpiricalDistribution,
     GridSpec,
     ReferenceLaw,
@@ -95,8 +96,9 @@ class ExperimentConfig:
                 raise ConfigError(f"outputs.{key}", "must be an object")
             if key == "moments":
                 kmax = val.get("kmax", 4)
-                if not _is_int(kmax) or kmax < 1:
-                    raise ConfigError("outputs.moments.kmax", "must be a positive integer")
+                if not _is_int(kmax) or not 1 <= kmax <= MAX_KMAX:
+                    raise ConfigError("outputs.moments.kmax",
+                                      f"must be an integer in [1, {MAX_KMAX}]")
             elif key == "histogram":
                 bins = val.get("bins", 50)
                 if not _is_int(bins) or not 1 <= bins <= MAX_ENTRIES:
@@ -135,13 +137,14 @@ class ExperimentConfig:
         )
 
 
-def _check_budget(model: str, triple: LevyTriple, cut: float | None, d: int) -> None:
+def _check_budget(model: str, triple: LevyTriple, cut: float | None, d: int,
+                  dim_field: str = "dims") -> None:
     """A sample holds d^2 matrix entries plus k sphere rows of d entries per
     rank-one jump (k = 1 for P, 2 for L), with E[n] = d * lam jumps in the
     tail beyond the cut.  Both grow with d, so only the largest dim is
     checked against MAX_ENTRIES."""
     if d * d > MAX_ENTRIES:
-        raise ConfigError("dims", f"d = {d} needs {d * d} matrix entries, over the "
+        raise ConfigError(dim_field, f"d = {d} needs {d * d} matrix entries, over the "
                           f"budget of {MAX_ENTRIES}")
     cut = default_inner_cut(triple) if cut is None else cut
     lam = truncate(triple, cut)[1].lam
@@ -327,21 +330,16 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
 def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Report:
     """Fixed-count projection sums: spectral moments of sums of d_prime
     rank-one sphere projections versus the Marchenko-Pastur law with index
-    d_prime / d."""
+    d_prime / d.  Each sum is a sample with unit jumps and no shift, so for
+    d_prime < d its spectrum comes from a d_prime x d_prime core."""
     if d < 1 or d_prime < 0 or trials < 1:
         raise ValueError("need d >= 1, d_prime >= 0, trials >= 1")
     lam = d_prime / d
     kmax = 4
     per_trial = []
     for trial in range(trials):
-        rng = RngStream(seed, trial)
-        if d_prime == 0:
-            law = EmpiricalDistribution.point_mass(0.0)
-        else:
-            u = sample_sphere_vectors(d, d_prime, rng)
-            m = u.T @ u.conj()
-            m = (m + m.conj().T) / 2.0
-            law = esd(m)
+        u = sample_sphere_vectors(d, d_prime, RngStream(seed, trial))
+        law = esd(HermitianSample(dim=d, tail=(np.ones(d_prime), u, u)))
         per_trial.append(empirical_moments(law, kmax).values)
     per_trial = np.array(per_trial)
     ref = reference_moments(marchenko_pastur(lam), kmax)
@@ -417,6 +415,16 @@ def main(argv=None) -> int:
         if value is not None and value < least:
             print(f"config error: --{name} must be >= {least}", file=sys.stderr)
             return 2
+    if args.command == "moments" and args.kmax > MAX_KMAX:
+        print(f"config error: --kmax must be <= {MAX_KMAX}", file=sys.stderr)
+        return 2
+    if args.command == "project" and args.dim * (args.dim + args.count) > MAX_ENTRIES:
+        # a d x d matrix plus count sphere rows of d entries, as _check_budget counts
+        name = "dim" if args.dim * args.dim > MAX_ENTRIES else "count"
+        print(f"config error: --{name}: d = {args.dim} and {args.count} projections need "
+              f"{args.dim * (args.dim + args.count)} complex entries, over the budget of "
+              f"{MAX_ENTRIES}", file=sys.stderr)
+        return 2
 
     try:
         if args.command == "run":
@@ -440,14 +448,19 @@ def main(argv=None) -> int:
             except (ValueError, json.JSONDecodeError) as exc:
                 print(f"config error: {exc}", file=sys.stderr)
                 return 2
+            if args.model == "nonhermitian" and not is_symmetric(triple):
+                print("config error: nonhermitian model requires a symmetric triple",
+                      file=sys.stderr)
+                return 2
+            try:
+                _check_budget(args.model, triple, None, args.dim, "--dim")
+            except ConfigError as exc:
+                print(f"config error: {exc}", file=sys.stderr)
+                return 2
             rng = RngStream(args.seed, 0)
             if args.model == "hermitian":
                 m = sample_P_many(triple, args.dim, rng, 1)[0].entries
             else:
-                if not is_symmetric(triple):
-                    print("config error: nonhermitian model requires a symmetric triple",
-                          file=sys.stderr)
-                    return 2
                 m = sample_L_many(triple, args.dim, rng, 1)[0].entries
             json.dump(
                 {"real": m.real.tolist(), "imag": m.imag.tolist()}, sys.stdout

@@ -6,7 +6,8 @@ truncation plus small-jump Gaussian substitution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -27,20 +28,87 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HermitianSample:
-    entries: np.ndarray
+@dataclass(frozen=True, eq=False)
+class _Sample:
+    """A d x d matrix sample kept in the parts it was drawn as: a dense block,
+    or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*
+    kept as its factors (x, u, w), the u_k and w_k being the rows of u and w.
+    `entries` builds the matrix; `core_spectrum` avoids it."""
+
+    block: np.ndarray | None = None
+    dim: int | None = None
+    shift: float = 0.0
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
-        m = self.entries
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("entries must be a square matrix")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-            raise ValueError("matrix is not Hermitian within tolerance")
+        m = self.block
+        if m is not None:
+            if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+                raise ValueError("entries must be a square matrix")
+            object.__setattr__(self, "dim", m.shape[0])
+        elif self.dim is None or self.dim < 1:
+            raise ValueError("d must be positive")
+
+    @staticmethod
+    def _tail_entries(r: np.ndarray) -> np.ndarray:
+        return r
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """The matrix, built on first use: the block or shift * I, plus the
+        tail multiplied out as (u.T * x) @ w.conj()."""
+        m = self.block if self.block is not None else self.shift * np.eye(self.dim, dtype=complex)
+        if self.tail is not None:
+            x, u, w = self.tail
+            m = m + self._tail_entries((u.T * x) @ w.conj())
+        return m
 
     @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    def low_rank(self) -> bool:
+        """No dense block and fewer rank-one terms than the dimension: the
+        spectrum comes from core_spectrum."""
+        return self.block is None and (self.tail is None or self.tail[0].size < self.dim)
+
+    def core_spectrum(self, solve) -> np.ndarray:
+        """For a low-rank sample with n rank-one terms: solve(C) on the n x n
+        core C = R_u diag(x) R_w^* of the thin QRs u.T = Q_u R_u and
+        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*, then d - n zeros for
+        the rest of the space, all plus the shift.  With eigvalsh (w = u) these
+        are the eigenvalues of the sample, with singular values its singular
+        values."""
+        values = np.zeros(self.dim)
+        if self.tail is not None and self.tail[0].size:
+            x, u, w = self.tail
+            r_u = np.linalg.qr(u.T, mode="r")
+            r_w = r_u if w is u else np.linalg.qr(w.T, mode="r")
+            values[: x.size] = solve((r_u * x) @ r_w.conj().T)
+        return values + self.shift
+
+
+class HermitianSample(_Sample):
+    """A Hermitian sample: the dense block is checked, and the tail is
+    sum_k x_k u_k u_k^* (w is u), whose entries are symmetrized as
+    (T + T^*) / 2."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        m = self.block
+        if m is not None:
+            if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+                raise ValueError("matrix is not Hermitian within tolerance")
+        if self.tail is not None and self.tail[2] is not self.tail[1]:
+            raise ValueError("a Hermitian tail needs w = u")
+
+    @staticmethod
+    def _tail_entries(r: np.ndarray) -> np.ndarray:
+        return (r + r.conj().T) / 2.0
+
+    def eigenvalues(self) -> np.ndarray:
+        """From the n x n core when the sample is low rank, otherwise from a
+        dense eigensolve of the entries."""
+        if self.low_rank:
+            return self.core_spectrum(np.linalg.eigvalsh)
+        return np.linalg.eigvalsh(self.entries)
 
 
 @dataclass(frozen=True)
@@ -50,10 +118,6 @@ class ScalarSampler:
 
     draw: "callable"  # draw(gen, n) -> ndarray of n reals
     symmetric: bool = False
-
-
-def _hermitize(m: np.ndarray) -> HermitianSample:
-    return HermitianSample((m + m.conj().T) / 2.0)
 
 
 def sample_haar_unitary(d: int, rng: RngStream | np.random.Generator) -> np.ndarray:
@@ -75,7 +139,8 @@ def sample_Q(mu: ScalarSampler, d: int, rng: RngStream | np.random.Generator) ->
     gen = as_generator(rng)
     x = np.asarray(mu.draw(gen, d), dtype=float)
     u = sample_haar_unitary(d, gen)
-    return _hermitize((u * x) @ u.conj().T)
+    m = (u * x) @ u.conj().T
+    return HermitianSample((m + m.conj().T) / 2.0)
 
 
 def _gue_matrix(d: int, sigma2: float, gen: np.random.Generator) -> np.ndarray:
@@ -102,33 +167,35 @@ def sample_P_gaussian(
         raise ValueError("d must be positive")
     gen = as_generator(rng)
     if var == 0:
-        return HermitianSample(mean * np.eye(d, dtype=complex))
+        return HermitianSample(dim=d, shift=mean)
     n = _gue_matrix(d, 1.0 / (d + 1), gen)
     x = float(standard_normal(gen, 1)[0])
     m = np.sqrt(var) * (n + x / np.sqrt(d + 1) * np.eye(d)) + mean * np.eye(d)
     return HermitianSample(m)
 
 
-def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, pairs=False) -> np.ndarray:
-    """sum_k x_k u_k w_k^* over a Poisson(d * lam) count of jumps x_k ~ rho and
-    sphere rows u_k; w = u, or with pairs an independent row drawn right after u_k."""
+def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, pairs=False):
+    """The factors (x, u, w) of sum_k x_k u_k w_k^* over a Poisson(d * lam)
+    count of jumps x_k ~ rho and sphere rows u_k; w is u, or with pairs the
+    independent rows w_k, each drawn right after its u_k."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(gen.poisson(d * lam))
     if n == 0:
-        return np.zeros((d, d), dtype=complex)
+        u = np.zeros((0, d), dtype=complex)
+        return np.zeros(0), u, u
     x = np.asarray(rho.draw(gen, n), dtype=float)
     rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
-    u, w = rows[:, 0], rows[:, -1]
-    return (u.T * x) @ w.conj()
+    u = rows[:, 0]
+    return x, u, (rows[:, 1] if pairs else u)
 
 
 def sample_P_compound_poisson(
     rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
-    sphere projections, M = sum_k x_k u_k u_k^*."""
-    return _hermitize(_rank_one_sum(rho, lam, d, as_generator(rng)))
+    sphere projections, M = sum_k x_k u_k u_k^*, kept as its factors."""
+    return HermitianSample(dim=d, tail=_rank_one_sum(rho, lam, d, as_generator(rng)))
 
 
 def default_inner_cut(t: LevyTriple) -> float:
@@ -177,12 +244,13 @@ def _jump_law(tail: CompoundPoissonParams, symmetric: bool = False) -> ScalarSam
 def _sample_composite(
     t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one,
     symmetric: bool = False,
-) -> list[np.ndarray]:
-    """The composite sampler of both models: per sample, the entries of
-    gaussian_block(mean, var, d, gen) plus, when the cut leaves a tail, those
-    of rank_one(rho, lam, d, gen), all drawn from one generator.  Callers pass
-    the blocks by their module-level names, looked up per call, so wrappers
-    installed on those names (perfbench/tracing.py) are the ones run."""
+) -> list:
+    """The composite sampler of both models: per sample, the sample
+    gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
+    factors of rank_one(rho, lam, d, gen), all drawn from one generator.
+    Callers pass the blocks by their module-level names, looked up per call,
+    so wrappers installed on those names (perfbench/tracing.py) are the ones
+    run."""
     if d < 1:
         raise ValueError("d must be positive")
     dec = _decompose(t, inner_cut)
@@ -190,10 +258,10 @@ def _sample_composite(
     rho = _jump_law(dec.tail, symmetric) if dec.tail.lam > 0 else None
     out = []
     for _ in range(n_samples):
-        m = gaussian_block(dec.mean, dec.var, d, gen).entries
+        s = gaussian_block(dec.mean, dec.var, d, gen)
         if rho is not None:
-            m = m + rank_one(rho, dec.tail.lam, d, gen).entries
-        out.append(m)
+            s = replace(s, tail=rank_one(rho, dec.tail.lam, d, gen).tail)
+        out.append(s)
     return out
 
 
@@ -224,10 +292,9 @@ def sample_P_many(
     if d == 1:
         xs = sample_P_scalars(t, rng, n_samples, inner_cut)
         return [HermitianSample(np.array([[x]], dtype=complex)) for x in xs]
-    ms = _sample_composite(
+    return _sample_composite(
         t, d, rng, n_samples, inner_cut, sample_P_gaussian, sample_P_compound_poisson
     )
-    return [HermitianSample(m) for m in ms]
 
 
 def sample_P_scalars(

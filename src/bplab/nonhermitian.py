@@ -5,12 +5,12 @@ to its free image.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .levy import LevyTriple, is_symmetric
-from .hermitian import ScalarSampler, _rank_one_sum, _sample_composite, sample_haar_unitary
+from .hermitian import (
+    ScalarSampler, _rank_one_sum, _Sample, _sample_composite, sample_haar_unitary,
+)
 # standard_normal is not called here; perfbench/tracing.py wraps it by this name
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors  # not called here either; traced by this name
@@ -28,18 +28,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ComplexMatrixSample:
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = self.entries
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
-            raise ValueError("entries must be a square matrix")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+class ComplexMatrixSample(_Sample):
+    """A square complex sample: a dense block, or the zero matrix (the
+    shift of L is 0), plus a rank-one tail sum_k x_k u_k w_k^*."""
 
 
 def sample_K(
@@ -69,21 +60,22 @@ def sample_L_gaussian(
 def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
     """The Gaussian block of L: Ginibre of variance var (zero when var is 0).
     The mean is dropped: L is only defined for symmetric triples."""
-    m = np.zeros((d, d), dtype=complex)
     if var > 0:
-        m = m + sample_L_gaussian(d, gen, scale=var).entries
-    return ComplexMatrixSample(m)
+        m = np.zeros((d, d), dtype=complex) + sample_L_gaussian(d, gen, scale=var).entries
+        return ComplexMatrixSample(m)
+    return ComplexMatrixSample(dim=d)
 
 
 def sample_L_compound_poisson(
     rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> ComplexMatrixSample:
     """Symmetric compound Poisson case: a Poisson(d * lam) number of weighted
-    rank-one outer products u v^* with independent sphere vectors u, v."""
+    rank-one outer products u v^* with independent sphere vectors u, v, kept
+    as their factors."""
     if not rho.symmetric:
         raise ValueError("jump law must be declared symmetric")
-    m = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
-    return ComplexMatrixSample(m)
+    tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
+    return ComplexMatrixSample(dim=d, tail=tail)
 
 
 def sample_L(
@@ -108,16 +100,19 @@ def sample_L_many(
     """Batch variant of sample_L; the decomposition is computed once."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
-    ms = _sample_composite(
+    return _sample_composite(
         t, d, rng, n_samples, inner_cut, _ginibre_block, sample_L_compound_poisson,
         symmetric=True,
     )
-    return [ComplexMatrixSample(m) for m in ms]
 
 
 def singular_values(M: ComplexMatrixSample) -> np.ndarray:
-    """Singular values via a Hermitian eigensolve of M^* M; tiny negative
-    eigenvalues are clamped to zero before the square root."""
+    """Singular values: a low-rank sample takes those of its n x n core and
+    d - n zeros (core_spectrum); any other a Hermitian eigensolve of M^* M,
+    whose tiny negative eigenvalues are clamped to zero before the square
+    root."""
+    if M.low_rank:
+        return M.core_spectrum(lambda c: np.linalg.svd(c, compute_uv=False))
     w = np.linalg.eigvalsh(M.entries.conj().T @ M.entries)
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
     if np.min(w) < -1e-10 * scale:

@@ -13,7 +13,7 @@ import pytest
 
 import bplab
 from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
-from bplab.spectra import MAX_ENTRIES, psi_image_moments
+from bplab.spectra import MAX_ENTRIES, MAX_KMAX, psi_image_moments
 from bplab.levy import triple_from_spec
 
 
@@ -71,6 +71,8 @@ def test_good_config_parses():
         ({"triple": {"preset": "gaussian", "mean": 0}}, "triple"),
         ({"triple": {"preset": "gaussian", "mean": float("nan"), "var": 1}}, "triple"),
         ({"triple": {"gamma": float("inf")}}, "triple"),
+        ({"outputs": {"moments": {"kmax": MAX_KMAX + 1}}}, "outputs.moments.kmax"),
+        ({"outputs": {"moments": {"kmax": 100000000}}}, "outputs.moments.kmax"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -228,6 +230,7 @@ def test_cli_moments_rejects_bad_spec(capsys):
         (["project", "--dim", "4", "--count", "-1"], "--count"),
         (["project", "--dim", "4", "--count", "1", "--trials", "0"], "--trials"),
         (["moments", '{"preset":"dirac","a":1}', "--kmax", "0"], "--kmax"),
+        (["moments", '{"preset":"dirac","a":1}', "--kmax", str(MAX_KMAX + 1)], "--kmax"),
     ],
 )
 def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
@@ -323,6 +326,39 @@ def test_cli_run_over_budget_exits_2_before_sampling(tmp_path, capsys, monkeypat
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config(**overrides)))
     assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err and str(MAX_ENTRIES) in captured.err
+    assert captured.out == ""
+
+
+def test_kmax_bound_admits_max_kmax(capsys):
+    doc = config(outputs={"moments": {"kmax": MAX_KMAX}})
+    assert ExperimentConfig.from_dict(doc).moments_kmax == MAX_KMAX
+    assert main(["moments", '{"preset":"dirac","a":1}', "--kmax", str(MAX_KMAX)]) == 0
+    assert len(capsys.readouterr().out.split()) == MAX_KMAX
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sample", '{"preset":"dirac","a":1}', "--dim", "100000"], "--dim"),
+        (["sample", '{"preset":"gaussian","mean":0,"var":1}', "--dim", "100000",
+          "--model", "nonhermitian"], "--dim"),
+        (["sample", '{"preset":"poisson","lambda":1e9}', "--dim", "4"], "triple"),
+        (["project", "--dim", "100000", "--count", "1"], "--dim"),
+        (["project", "--dim", "8000", "--count", "1000"], "--count"),
+    ],
+    ids=["sample-dim", "sample-dim-nonhermitian", "sample-tail", "project-dim",
+         "project-count"],
+)
+def test_cli_sample_and_project_over_budget_exit_2_before_sampling(monkeypatch, capsys,
+                                                                   argv, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the arguments should be refused before sampling")
+
+    for name in ("sample_P_many", "sample_L_many", "projection_experiment"):
+        monkeypatch.setattr(f"bplab.cli.{name}", unreachable)
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert f"config error: {field}:" in captured.err and str(MAX_ENTRIES) in captured.err
     assert captured.out == ""
