@@ -29,7 +29,6 @@ from .cumulants import (
 )
 from .hermitian import (
     HermitianSample,
-    ScalarSampler,
     sample_haar_unitary,
     sample_Q,
     sample_P_gaussian,
@@ -46,7 +45,7 @@ from .nonhermitian import (
     symmetrized_singular_law,
 )
 from .sphere import (
-    sample_sphere_vector,
+    sample_sphere_vectors,
     sphere_moment,
     simplex_fourier,
     pd_fourier,

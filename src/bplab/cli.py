@@ -17,6 +17,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -115,13 +116,8 @@ class ExperimentConfig:
             ):
                 raise ConfigError("inner_cut", "must be a positive finite number")
             cut = float(cut)
-        try:
-            triple = triple_from_spec(doc["triple"])
-        except ValueError as exc:
-            raise ConfigError("triple", str(exc)) from exc
-        if model == "nonhermitian" and not is_symmetric(triple):
-            raise ConfigError("triple", "nonhermitian model requires a symmetric triple")
-        _check_budget(model, triple, cut, dims[-1])
+        triple = _parse_triple(doc["triple"], model)
+        _check_sample_budget(model, triple, cut, dims[-1], "dims")
         return cls(
             model=model,
             triple_spec=doc["triple"],
@@ -137,22 +133,42 @@ class ExperimentConfig:
         )
 
 
-def _check_budget(model: str, triple: LevyTriple, cut: float | None, d: int,
-                  dim_field: str = "dims") -> None:
-    """A sample holds d^2 matrix entries plus k sphere rows of d entries per
-    rank-one jump (k = 1 for P, 2 for L), with E[n] = d * lam jumps in the
-    tail beyond the cut.  Both grow with d, so only the largest dim is
-    checked against MAX_ENTRIES."""
-    if d * d > MAX_ENTRIES:
-        raise ConfigError(dim_field, f"d = {d} needs {d * d} matrix entries, over the "
-                          f"budget of {MAX_ENTRIES}")
-    cut = default_inner_cut(triple) if cut is None else cut
-    lam = truncate(triple, cut)[1].lam
-    entries = d * d + (2 if model == "nonhermitian" else 1) * d * d * lam
+def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:
+    """The triple of a config or of a command line spec, named `triple` in
+    errors; the nonhermitian model needs a symmetric one."""
+    try:
+        triple = triple_from_spec(spec)
+    except ValueError as exc:
+        raise ConfigError("triple", str(exc)) from exc
+    if model == "nonhermitian" and not is_symmetric(triple):
+        raise ConfigError("triple", "nonhermitian model requires a symmetric triple")
+    return triple
+
+
+def _check_entries(d: int, rows: float, dim_field: str, rows_field: str, rows_what: str):
+    """A sample holds its d x d matrix plus `rows` sphere rows of d entries.
+    Refuse more than MAX_ENTRIES complex values, naming dim_field when the
+    matrix alone is over the budget and rows_field otherwise."""
+    entries = d * d + rows * d
     if entries > MAX_ENTRIES:
-        raise ConfigError("triple", f"at d = {d} and inner cut {cut:g}, tail intensity "
-                          f"{lam:g} needs {entries:.3g} complex entries, over the "
-                          f"budget of {MAX_ENTRIES}")
+        raise ConfigError(dim_field if d * d > MAX_ENTRIES else rows_field,
+                          f"d = {d} and {rows_what} need {entries:.6g} complex entries, "
+                          f"over the budget of {MAX_ENTRIES}")
+
+
+def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, d: int,
+                         dim_field: str) -> None:
+    """The rows of a P or L sample: k sphere rows per rank-one jump (k = 1
+    for P, 2 for L), with E[n] = d * lam jumps in the tail beyond the cut.
+    Entries grow with d, so only the largest dim needs checking."""
+    cut = default_inner_cut(triple) if cut is None else cut
+    try:
+        lam = truncate(triple, cut)[1].lam
+    except ValueError as exc:
+        raise ConfigError("triple", str(exc)) from exc
+    rows = (2 if model == "nonhermitian" else 1) * d * lam
+    _check_entries(d, rows, dim_field, "triple",
+                   f"tail intensity {lam:g} beyond inner cut {cut:g}")
 
 
 def _is_int(value) -> bool:
@@ -195,7 +211,10 @@ class Report:
 def _worker_count() -> int:
     env = os.environ.get("BPLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ConfigError("BPLAB_THREADS", f"must be an integer, got {env!r}") from None
     return os.cpu_count() or 1
 
 
@@ -304,7 +323,7 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
                 float(v) for v in g.get("imaginary_levels", (1.0, 2.0, 4.0))
             ),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.grid", str(exc)) from exc
     spec = doc.get("target")
     if not isinstance(spec, dict):
@@ -323,7 +342,7 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
         if not all(math.isfinite(v) for v in values):
             raise ValueError("params must be finite")
         return make(*values), grid
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.target.params", str(exc)) from exc
 
 
@@ -376,6 +395,27 @@ def _write_report(report: Report, out_dir: str | None) -> None:
         fh.write(report.to_csv())
 
 
+def _write_matrix(m: np.ndarray, out) -> None:
+    """The bytes of json.dump({"real": m.real.tolist(), "imag": ...}) and a
+    newline, written one row at a time, so no list of the whole matrix is
+    built."""
+    for sep, name, part in (("{", "real", m.real), ("], ", "imag", m.imag)):
+        out.write(f'{sep}"{name}": [')
+        for i, row in enumerate(part):
+            out.write((", " if i else "") + json.dumps(row.tolist()))
+    out.write("]}\n")
+
+
+def _decode(field: str, read):
+    """read() of a JSON document; a failure is a config error naming field."""
+    try:
+        return read()
+    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError too
+        raise ConfigError(field, str(exc)) from exc
+    except RecursionError:
+        raise ConfigError(field, "JSON nested too deeply") from None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="bplab",
@@ -410,93 +450,60 @@ def main(argv=None) -> int:
     sub.add_parser("verify", help="run the built-in acceptance suite")
 
     args = parser.parse_args(argv)
-    for name, least in (("dim", 1), ("trials", 1), ("kmax", 1), ("count", 0)):
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            print(f"config error: --{name} must be >= {least}", file=sys.stderr)
-            return 2
-    if args.command == "moments" and args.kmax > MAX_KMAX:
-        print(f"config error: --kmax must be <= {MAX_KMAX}", file=sys.stderr)
-        return 2
-    if args.command == "project" and args.dim * (args.dim + args.count) > MAX_ENTRIES:
-        # a d x d matrix plus count sphere rows of d entries, as _check_budget counts
-        name = "dim" if args.dim * args.dim > MAX_ENTRIES else "count"
-        print(f"config error: --{name}: d = {args.dim} and {args.count} projections need "
-              f"{args.dim * (args.dim + args.count)} complex entries, over the budget of "
-              f"{MAX_ENTRIES}", file=sys.stderr)
-        return 2
-
     try:
-        if args.command == "run":
-            try:
-                with open(args.config, encoding="utf-8") as fh:
-                    doc = json.load(fh)
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            try:
-                config = ExperimentConfig.from_dict(doc)
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            _write_report(run(config), args.out)
-            return 0
-
-        if args.command == "sample":
-            try:
-                triple = triple_from_spec(json.loads(args.triple))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            if args.model == "nonhermitian" and not is_symmetric(triple):
-                print("config error: nonhermitian model requires a symmetric triple",
-                      file=sys.stderr)
-                return 2
-            try:
-                _check_budget(args.model, triple, None, args.dim, "--dim")
-            except ConfigError as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            rng = RngStream(args.seed, 0)
-            if args.model == "hermitian":
-                m = sample_P_many(triple, args.dim, rng, 1)[0].entries
-            else:
-                m = sample_L_many(triple, args.dim, rng, 1)[0].entries
-            json.dump(
-                {"real": m.real.tolist(), "imag": m.imag.tolist()}, sys.stdout
-            )
-            print()
-            return 0
-
-        if args.command == "moments":
-            try:
-                triple = triple_from_spec(json.loads(args.triple))
-            except (ValueError, json.JSONDecodeError) as exc:
-                print(f"config error: {exc}", file=sys.stderr)
-                return 2
-            moments = psi_image_moments(triple, args.kmax)
-            for value in moments.values:
-                print(f"{value:.12g}")
-            return 0
-
-        if args.command == "project":
-            report = projection_experiment(args.dim, args.count, args.trials, args.seed)
-            _write_report(report, args.out)
-            return 0
-
-        if args.command == "verify":
-            import pytest
-
-            here = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
-            tests = os.path.join(here, "tests", "test_acceptance.py")
-            if not os.path.exists(tests):
-                print("acceptance tests not found; run pytest from a source checkout",
-                      file=sys.stderr)
-                return 1
-            return pytest.main(["-v", tests])
+        return _command(args)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:  # runtime failure, not a config problem
         print(f"error: {exc}", file=sys.stderr)
         return 1
+
+
+def _command(args) -> int:
+    """Run one parsed command line; every config problem raises ConfigError."""
+    for name, least in (("dim", 1), ("trials", 1), ("kmax", 1), ("count", 0)):
+        value = getattr(args, name, None)
+        if value is not None and value < least:
+            raise ConfigError(f"--{name}", f"must be >= {least}")
+
+    if args.command == "run":
+        doc = _decode("config", lambda: json.loads(Path(args.config).read_text("utf-8")))
+        _write_report(run(ExperimentConfig.from_dict(doc)), args.out)
+        return 0
+
+    if args.command == "sample":
+        triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)), args.model)
+        _check_sample_budget(args.model, triple, None, args.dim, "--dim")
+        sample_many = sample_P_many if args.model == "hermitian" else sample_L_many
+        m = sample_many(triple, args.dim, RngStream(args.seed, 0), 1)[0].entries
+        _write_matrix(m, sys.stdout)
+        return 0
+
+    if args.command == "moments":
+        if args.kmax > MAX_KMAX:
+            raise ConfigError("--kmax", f"must be <= {MAX_KMAX}")
+        triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)))
+        for value in psi_image_moments(triple, args.kmax).values:
+            print(f"{value:.12g}")
+        return 0
+
+    if args.command == "project":
+        _check_entries(args.dim, args.count, "--dim", "--count", f"{args.count} projections")
+        report = projection_experiment(args.dim, args.count, args.trials, args.seed)
+        _write_report(report, args.out)
+        return 0
+
+    if args.command == "verify":
+        import pytest
+
+        here = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+        tests = os.path.join(here, "tests", "test_acceptance.py")
+        if not os.path.exists(tests):
+            print("acceptance tests not found; run pytest from a source checkout",
+                  file=sys.stderr)
+            return 1
+        return pytest.main(["-v", tests])
     return 2
 
 

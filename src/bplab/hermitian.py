@@ -11,13 +11,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .levy import CompoundPoissonParams, LevyTriple, running_sum, truncate
+from .levy import CompoundPoissonParams, FiniteMeasure, LevyTriple, running_sum, truncate
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors
 
 __all__ = [
     "HermitianSample",
-    "ScalarSampler",
     "sample_haar_unitary",
     "sample_Q",
     "sample_P_gaussian",
@@ -111,15 +110,6 @@ class HermitianSample(_Sample):
         return np.linalg.eigvalsh(self.entries)
 
 
-@dataclass(frozen=True)
-class ScalarSampler:
-    """A scalar law with a vectorized draw; `symmetric` declares symmetry
-    where a model requires it."""
-
-    draw: "callable"  # draw(gen, n) -> ndarray of n reals
-    symmetric: bool = False
-
-
 def sample_haar_unitary(d: int, rng: RngStream | np.random.Generator) -> np.ndarray:
     """Haar unitary via QR of a complex Ginibre matrix, with the phases of
     diag(R) pulled into Q so the law is exactly Haar."""
@@ -133,12 +123,13 @@ def sample_haar_unitary(d: int, rng: RngStream | np.random.Generator) -> np.ndar
     return q * phases
 
 
-def sample_Q(mu: ScalarSampler, d: int, rng: RngStream | np.random.Generator) -> HermitianSample:
-    """Independent Haar conjugation of an i.i.d. diagonal; the eigenvalues of
-    the sample are exactly the diagonal draws."""
-    gen = as_generator(rng)
-    x = np.asarray(mu.draw(gen, d), dtype=float)
-    u = sample_haar_unitary(d, gen)
+def sample_Q(x, rng: RngStream | np.random.Generator) -> HermitianSample:
+    """Haar conjugation U diag(x) U^* of the real diagonal x; the eigenvalues
+    of the sample are exactly the entries of x."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("the diagonal must be a 1-d array")
+    u = sample_haar_unitary(x.size, as_generator(rng))
     m = (u * x) @ u.conj().T
     return HermitianSample((m + m.conj().T) / 2.0)
 
@@ -174,7 +165,13 @@ def sample_P_gaussian(
     return HermitianSample(m)
 
 
-def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, pairs=False):
+def _draw_jumps(rho: FiniteMeasure, gen: np.random.Generator, n: int) -> np.ndarray:
+    """n draws from the jump law rho: its atoms, by weight."""
+    ws = rho.weights()
+    return gen.choice(rho.locations(), size=n, p=ws / ws.sum())
+
+
+def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
     """The factors (x, u, w) of sum_k x_k u_k w_k^* over a Poisson(d * lam)
     count of jumps x_k ~ rho and sphere rows u_k; w is u, or with pairs the
     independent rows w_k, each drawn right after its u_k."""
@@ -184,17 +181,18 @@ def _rank_one_sum(rho: ScalarSampler, lam: float, d: int, gen, pairs=False):
     if n == 0:
         u = np.zeros((0, d), dtype=complex)
         return np.zeros(0), u, u
-    x = np.asarray(rho.draw(gen, n), dtype=float)
+    x = _draw_jumps(rho, gen, n)
     rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
     u = rows[:, 0]
     return x, u, (rows[:, 1] if pairs else u)
 
 
 def sample_P_compound_poisson(
-    rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
+    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
-    sphere projections, M = sum_k x_k u_k u_k^*, kept as its factors."""
+    sphere projections, M = sum_k x_k u_k u_k^* with x_k ~ rho, kept as its
+    factors."""
     return HermitianSample(dim=d, tail=_rank_one_sum(rho, lam, d, as_generator(rng)))
 
 
@@ -233,17 +231,8 @@ def _decompose(t: LevyTriple, eps: float | None) -> _Decomposition:
     return _Decomposition(mean, var0 + sub_var, tail, sub_var)
 
 
-def _jump_law(tail: CompoundPoissonParams, symmetric: bool = False) -> ScalarSampler:
-    """Draws from the tail's jump law rho (its atoms, by weight)."""
-    locs = tail.rho.locations()
-    ws = tail.rho.weights()
-    p = ws / ws.sum()
-    return ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=p), symmetric)
-
-
 def _sample_composite(
-    t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one,
-    symmetric: bool = False,
+    t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one
 ) -> list:
     """The composite sampler of both models: per sample, the sample
     gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
@@ -255,12 +244,11 @@ def _sample_composite(
         raise ValueError("d must be positive")
     dec = _decompose(t, inner_cut)
     gen = as_generator(rng)
-    rho = _jump_law(dec.tail, symmetric) if dec.tail.lam > 0 else None
     out = []
     for _ in range(n_samples):
         s = gaussian_block(dec.mean, dec.var, d, gen)
-        if rho is not None:
-            s = replace(s, tail=rank_one(rho, dec.tail.lam, d, gen).tail)
+        if dec.tail.lam > 0:
+            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen).tail)
         out.append(s)
     return out
 
@@ -313,7 +301,7 @@ def sample_P_scalars(
         counts = gen.poisson(dec.tail.lam, n_samples)
         total = int(counts.sum())
         if total:
-            jumps = _jump_law(dec.tail).draw(gen, total)
+            jumps = _draw_jumps(dec.tail.rho, gen, total)
             sums = np.zeros(n_samples)
             idx = np.repeat(np.arange(n_samples), counts)
             np.add.at(sums, idx, jumps)

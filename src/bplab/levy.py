@@ -32,9 +32,14 @@ __all__ = [
     "cauchy",
     "triple_from_spec",
     "triple_to_spec",
+    "MAX_CAUCHY_NODES",
 ]
 
 _MERGE_TOL = 1e-12
+
+# Largest "nodes" a cauchy preset may ask for: cauchy(1, 10**6) builds in
+# about 1.4 s and peaks near 0.4 GB, and memory grows linearly beyond that.
+MAX_CAUCHY_NODES = 10**6
 
 
 def running_sum(x: np.ndarray) -> float:
@@ -63,15 +68,20 @@ class FiniteMeasure:
         if (pairs[:, 1] < 0).any():
             raise ValueError("atom weights must be nonnegative")
         order = np.argsort(pairs[:, 0], kind="stable")
-        opens = np.diff(np.append(-np.inf, pairs[order, 0])) > _MERGE_TOL  # group starts
-        group = np.empty_like(order)  # group of each atom, in input order
-        group[order] = np.cumsum(opens) - 1
-        starts = np.flatnonzero(opens)
-        locs = pairs[np.minimum.reduceat(order, starts) if order.size else order, 0]
-        # -0.0 is the identity of float addition: each sum is the one a Python
-        # loop over the input gives, signed zeros included
-        ws = np.full(starts.size, -0.0)
-        np.add.at(ws, group, pairs[:, 1])
+        # sums may overflow: a gap of inf opens a group, an infinite weight
+        # is refused below
+        with np.errstate(over="ignore"):
+            opens = np.diff(np.append(-np.inf, pairs[order, 0])) > _MERGE_TOL  # group starts
+            group = np.empty_like(order)  # group of each atom, in input order
+            group[order] = np.cumsum(opens) - 1
+            starts = np.flatnonzero(opens)
+            locs = pairs[np.minimum.reduceat(order, starts) if order.size else order, 0]
+            # -0.0 is the identity of float addition: each sum is the one a
+            # Python loop over the input gives, signed zeros included
+            ws = np.full(starts.size, -0.0)
+            np.add.at(ws, group, pairs[:, 1])
+        if not np.isfinite(ws).all():
+            raise ValueError("merged atom weights overflow")
         locs.flags.writeable = ws.flags.writeable = False
         object.__setattr__(self, "_locs", locs)
         object.__setattr__(self, "_weights", ws)
@@ -120,10 +130,6 @@ class LevyTriple:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
-
-    @property
-    def gaussian_variance(self) -> float:
-        return self.G.mass_at(0.0)
 
 
 @dataclass(frozen=True)
@@ -219,10 +225,13 @@ def truncate(t: LevyTriple, cut: float) -> tuple[LevyTriple, CompoundPoissonPara
     u, w = t.G.locations(), t.G.weights()
     out = np.abs(u) > cut
     u_out, w_out = u[out], w[out]
-    intensity = w_out * (1.0 + u_out * u_out) / (u_out * u_out)
-    # running sums in atom order, as the sampled bits depend on them
-    lam = running_sum(intensity)
-    a = running_sum(-(w_out / u_out))
+    with np.errstate(all="ignore"):
+        intensity = w_out * (1.0 + u_out * u_out) / (u_out * u_out)
+        # running sums in atom order, as the sampled bits depend on them
+        lam = running_sum(intensity)
+        a = running_sum(-(w_out / u_out))
+    if not (math.isfinite(lam) and math.isfinite(a)):
+        raise ValueError("the tail intensity overflows: jumps too close to 0 or too large")
     rho = FiniteMeasure(np.column_stack((u_out, intensity / lam)) if lam > 0 else ())
     inner = LevyTriple(t.gamma + a, FiniteMeasure(np.column_stack((u[~out], w[~out]))))
     return inner, CompoundPoissonParams(lam, rho, a)
@@ -251,17 +260,19 @@ def is_symmetric(t: LevyTriple, tol: float = 1e-9) -> bool:
         return True
     eps = max(tol, _MERGE_TOL)
     # first index with locs + u >= -eps, exactly as that sum rounds: the
-    # searchsorted guess can be off by an ulp-sized step either way
+    # searchsorted guess can be off by an ulp-sized step either way.  A sum
+    # that overflows is an infinity of the right sign, so it compares right.
     n = locs.size
     idx = np.searchsorted(locs, -u - eps)
-    while True:
-        left = (idx > 0) & (locs[np.maximum(idx - 1, 0)] + u >= -eps)
-        right = (idx < n) & (locs[np.minimum(idx, n - 1)] + u < -eps)
-        if not (left.any() or right.any()):
-            break
-        idx += right.astype(int) - left.astype(int)
-    at = np.minimum(idx, n - 1)
-    found = (idx < n) & (np.abs(locs[at] + u) <= eps)
+    with np.errstate(over="ignore"):
+        while True:
+            left = (idx > 0) & (locs[np.maximum(idx - 1, 0)] + u >= -eps)
+            right = (idx < n) & (locs[np.minimum(idx, n - 1)] + u < -eps)
+            if not (left.any() or right.any()):
+                break
+            idx += right.astype(int) - left.astype(int)
+        at = np.minimum(idx, n - 1)
+        found = (idx < n) & (np.abs(locs[at] + u) <= eps)
     if not found.all():
         return False
     positive = u > 0
@@ -324,22 +335,31 @@ def cauchy(a: float, n_nodes: int = 401) -> LevyTriple:
 
 
 def triple_from_spec(spec) -> LevyTriple:
-    """Parse the JSON-compatible triple description.
+    """Parse the JSON-compatible triple description; any bad spec raises
+    ValueError.
 
     Accepted forms: {"gamma": g, "atoms": [[loc, w], ...]},
     {"preset": "gaussian", "mean": m, "var": v}, {"preset": "poisson",
-    "lambda": l}, {"preset": "cauchy", "a": a, "nodes": n},
-    {"preset": "dirac", "a": a}, and {"convolve": [spec, ...]}.
+    "lambda": l}, {"preset": "cauchy", "a": a, "nodes": n} with an integer
+    n in [8, MAX_CAUCHY_NODES], {"preset": "dirac", "a": a}, and
+    {"convolve": [spec, ...]}.
     """
+    try:
+        return _parse_spec(spec)
+    except RecursionError:
+        raise ValueError("triple spec is nested too deeply") from None
+
+
+def _parse_spec(spec) -> LevyTriple:
     if not isinstance(spec, dict):
         raise ValueError("triple spec must be an object")
     if "convolve" in spec:
         parts = spec["convolve"]
         if not isinstance(parts, list) or not parts:
             raise ValueError("'convolve' takes a nonempty list of specs")
-        out = triple_from_spec(parts[0])
+        out = _parse_spec(parts[0])
         for part in parts[1:]:
-            out = convolve(out, triple_from_spec(part))
+            out = convolve(out, _parse_spec(part))
         return out
     if "preset" in spec:
         name = spec["preset"]
@@ -348,14 +368,18 @@ def triple_from_spec(spec) -> LevyTriple:
         if name == "poisson":
             return poisson(_number(spec, "lambda"))
         if name == "cauchy":
-            return cauchy(_number(spec, "a"), int(_number(spec, "nodes", 401)))
+            a = _number(spec, "a")
+            nodes = _number(spec, "nodes", 401)
+            if not nodes.is_integer() or not 8 <= nodes <= MAX_CAUCHY_NODES:
+                raise ValueError(f"'nodes' must be an integer in [8, {MAX_CAUCHY_NODES}]")
+            return cauchy(a, int(nodes))
         if name == "dirac":
             return dirac(_number(spec, "a"))
         raise ValueError(f"unknown preset {name!r}")
     if "gamma" in spec:
         try:
             atoms = tuple((float(u), float(w)) for u, w in spec.get("atoms", []))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"'atoms' must be a list of [location, weight] pairs: {exc}") from exc
         return LevyTriple(_number(spec, "gamma"), FiniteMeasure(atoms))
     raise ValueError("triple spec needs 'gamma', 'preset' or 'convolve'")
@@ -365,7 +389,7 @@ def _number(spec: dict, key: str, default: float | None = None) -> float:
     """spec[key], or default when absent, as a finite float; errors name the key."""
     try:
         value = float(spec.get(key, default))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key!r} is missing or not a number") from exc
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be finite")

@@ -7,10 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .levy import LevyTriple, is_symmetric
-from .hermitian import (
-    ScalarSampler, _rank_one_sum, _Sample, _sample_composite, sample_haar_unitary,
-)
+from .levy import FiniteMeasure, LevyTriple, is_symmetric
+from .hermitian import _rank_one_sum, _Sample, _sample_composite, sample_haar_unitary
 # standard_normal is not called here; perfbench/tracing.py wraps it by this name
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors  # not called here either; traced by this name
@@ -33,15 +31,15 @@ class ComplexMatrixSample(_Sample):
     shift of L is 0), plus a rank-one tail sum_k x_k u_k w_k^*."""
 
 
-def sample_K(
-    mu: ScalarSampler, d: int, rng: RngStream | np.random.Generator
-) -> ComplexMatrixSample:
-    """Two independent Haar unitaries around an i.i.d. diagonal; the singular
-    values are exactly the absolute diagonal draws."""
+def sample_K(x, rng: RngStream | np.random.Generator) -> ComplexMatrixSample:
+    """Two independent Haar unitaries around the real diagonal x: U diag(x) V;
+    the singular values are exactly the |x_i|."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("the diagonal must be a 1-d array")
     gen = as_generator(rng)
-    x = np.asarray(mu.draw(gen, d), dtype=float)
-    u = sample_haar_unitary(d, gen)
-    v = sample_haar_unitary(d, gen)
+    u = sample_haar_unitary(x.size, gen)
+    v = sample_haar_unitary(x.size, gen)
     return ComplexMatrixSample((u * x) @ v)
 
 
@@ -61,19 +59,17 @@ def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
     """The Gaussian block of L: Ginibre of variance var (zero when var is 0).
     The mean is dropped: L is only defined for symmetric triples."""
     if var > 0:
-        m = np.zeros((d, d), dtype=complex) + sample_L_gaussian(d, gen, scale=var).entries
-        return ComplexMatrixSample(m)
+        return sample_L_gaussian(d, gen, scale=var)
     return ComplexMatrixSample(dim=d)
 
 
 def sample_L_compound_poisson(
-    rho: ScalarSampler, lam: float, d: int, rng: RngStream | np.random.Generator
+    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator
 ) -> ComplexMatrixSample:
-    """Symmetric compound Poisson case: a Poisson(d * lam) number of weighted
-    rank-one outer products u v^* with independent sphere vectors u, v, kept
-    as their factors."""
-    if not rho.symmetric:
-        raise ValueError("jump law must be declared symmetric")
+    """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
+    outer products x u v^* with x ~ rho and independent sphere vectors u, v,
+    kept as their factors.  The model needs a symmetric law; sample_L_many
+    checks that on the triple."""
     tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
     return ComplexMatrixSample(dim=d, tail=tail)
 
@@ -101,8 +97,7 @@ def sample_L_many(
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
     return _sample_composite(
-        t, d, rng, n_samples, inner_cut, _ginibre_block, sample_L_compound_poisson,
-        symmetric=True,
+        t, d, rng, n_samples, inner_cut, _ginibre_block, sample_L_compound_poisson
     )
 
 

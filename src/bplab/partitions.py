@@ -19,11 +19,8 @@ __all__ = [
     "enumerate_partitions",
     "enumerate_noncrossing",
     "is_noncrossing",
-    "interval_block",
     "is_acceptable",
     "is_admissible",
-    "falling_factorial",
-    "bell_number",
     "catalan_number",
     "ENUMERATION_CAP",
 ]
@@ -152,20 +149,6 @@ def enumerate_noncrossing(k: int) -> list[SetPartition]:
     return [p for p in enumerate_partitions(k) if is_noncrossing(p)]
 
 
-def interval_block(p: SetPartition) -> frozenset[int] | None:
-    """Some block that is a contiguous interval, or None.
-
-    For a noncrossing partition an interval block always exists and removing
-    it leaves the rest noncrossing, so repeated application peels the whole
-    partition in exactly len(p) steps.  Ties go to the block with the
-    smallest minimum element.
-    """
-    for b in p.blocks:
-        if max(b) - min(b) + 1 == len(b):
-            return b
-    return None
-
-
 def _matches_per_block(p: SetPartition, tau: SetPartition, successor) -> bool:
     cls = tau.class_index()
     for block in p.blocks:
@@ -201,26 +184,6 @@ def links_halves(ground: SplitGround, p: SetPartition) -> bool:
     """Whether some block of p meets both halves of the split ground."""
     k = ground.k
     return any(min(b) <= k < max(b) for b in p.blocks)
-
-
-def falling_factorial(n: int, l: int) -> int:
-    """n(n-1)...(n-l+1): the number of one-to-one maps from [l] to [n]."""
-    if l < 0 or n < 0:
-        raise ValueError("arguments must be nonnegative")
-    if l > n:
-        return 0
-    return math.perm(n, l)
-
-
-def bell_number(k: int) -> int:
-    """Bell numbers by the triangle recurrence (independent of enumeration)."""
-    row = [1]
-    for _ in range(k):
-        nxt = [row[-1]]
-        for v in row:
-            nxt.append(nxt[-1] + v)
-        row = nxt
-    return row[0]
 
 
 def catalan_number(k: int) -> int:

@@ -39,9 +39,6 @@ class RngStream:
         key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def substream(self, offset: int) -> "RngStream":
-        return RngStream(self.seed, self.stream_id + offset)
-
 
 def as_generator(rng: "RngStream | np.random.Generator") -> np.random.Generator:
     """Accept either a stream descriptor or an already-materialized generator."""

@@ -262,14 +262,6 @@ def reference_density(law: ReferenceLaw, x: float) -> float:
     raise ValueError(f"unknown law {law!r}")
 
 
-def mp_atom(law: ReferenceLaw) -> float:
-    """Mass of the atom at zero of a Marchenko-Pastur law ((1 - lam)+)."""
-    if law.kind != "marchenko_pastur":
-        raise ValueError("only Marchenko-Pastur laws carry the zero atom")
-    (lam,) = law.params
-    return max(1.0 - lam, 0.0)
-
-
 def reference_moments(law: ReferenceLaw, kmax: int) -> MomentSequence:
     """Exact moments via free cumulants (semicircle: (0, r^2, 0, ...);
     Marchenko-Pastur(lam): all cumulants lam; dirac: (a, 0, 0, ...))."""

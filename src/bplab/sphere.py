@@ -16,8 +16,7 @@ from .levy import LevyTriple, levy_exponent
 from .rng import RngStream, as_generator, standard_complex_normal
 
 __all__ = [
-    "SphereVector",
-    "sample_sphere_vector",
+    "sample_sphere_vectors",
     "sample_simplex_points",
     "sphere_moment",
     "simplex_fourier",
@@ -30,37 +29,11 @@ __all__ = [
 DEGENERACY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class SphereVector:
-    coords: np.ndarray
-
-    def __post_init__(self):
-        norm = float(np.sum(np.abs(self.coords) ** 2))
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError("coordinates must have unit norm")
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def simplex_point(self) -> np.ndarray:
-        """Z = (|u_1|^2, ..., |u_d|^2)."""
-        return np.abs(self.coords) ** 2
-
-
-def sample_sphere_vector(d: int, rng: RngStream | np.random.Generator) -> SphereVector:
-    """Renormalized standard complex Gaussian vector: uniform on the sphere."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    gen = as_generator(rng)
-    z = standard_complex_normal(gen, d)
-    return SphereVector(z / np.linalg.norm(z))
-
-
 def sample_sphere_vectors(
     d: int, n: int, rng: RngStream | np.random.Generator
 ) -> np.ndarray:
-    """n uniform sphere vectors as the rows of an (n, d) complex array."""
+    """n uniform sphere vectors as the rows of an (n, d) complex array: each
+    a standard complex Gaussian vector, renormalized."""
     if d < 1:
         raise ValueError("d must be positive")
     gen = as_generator(rng)

@@ -1,15 +1,20 @@
-"""Independent oracles used by the unit tests.
+"""Independent oracles and helpers used by the unit tests.
 
-Everything here is deliberately written by a different route than the
+The oracles are deliberately written by a different route than the
 production code: lattice sums instead of recursions, quadrature instead of
 closed forms, polynomial fits instead of cumulant formulas.  Slow is fine.
+The helpers at the end are small definitions that only the tests need.
 """
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from bplab.partitions import enumerate_noncrossing, enumerate_partitions
-from bplab.spectra import marchenko_pastur, reference_density
+from bplab.partitions import SetPartition, enumerate_noncrossing, enumerate_partitions
+from bplab.rng import as_generator, standard_complex_normal
+from bplab.spectra import ReferenceLaw, marchenko_pastur, reference_density
 
 
 def lattice_moment(c, n, kind):
@@ -127,3 +132,75 @@ def mp_transform_quad(lam, zs):
         epsabs=1e-13, epsrel=1e-12, limit=2000,
     )
     return f + max(1.0 - lam, 0.0) / (0.0 - zs)
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests use
+
+
+@dataclass(frozen=True)
+class SphereVector:
+    coords: np.ndarray
+
+    def __post_init__(self):
+        norm = float(np.sum(np.abs(self.coords) ** 2))
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError("coordinates must have unit norm")
+
+    @property
+    def dim(self) -> int:
+        return len(self.coords)
+
+    def simplex_point(self) -> np.ndarray:
+        """Z = (|u_1|^2, ..., |u_d|^2)."""
+        return np.abs(self.coords) ** 2
+
+
+def sample_sphere_vector(d, rng) -> SphereVector:
+    """Renormalized standard complex Gaussian vector: uniform on the sphere."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    z = standard_complex_normal(as_generator(rng), d)
+    return SphereVector(z / np.linalg.norm(z))
+
+
+def mp_atom(law: ReferenceLaw) -> float:
+    """Mass of the atom at zero of a Marchenko-Pastur law ((1 - lam)+)."""
+    if law.kind != "marchenko_pastur":
+        raise ValueError("only Marchenko-Pastur laws carry the zero atom")
+    (lam,) = law.params
+    return max(1.0 - lam, 0.0)
+
+
+def interval_block(p: SetPartition):
+    """Some block that is a contiguous interval, or None.
+
+    For a noncrossing partition an interval block always exists and removing
+    it leaves the rest noncrossing, so repeated application peels the whole
+    partition in exactly len(p) steps.  Ties go to the block with the
+    smallest minimum element.
+    """
+    for b in p.blocks:
+        if max(b) - min(b) + 1 == len(b):
+            return b
+    return None
+
+
+def falling_factorial(n: int, l: int) -> int:
+    """n(n-1)...(n-l+1): the number of one-to-one maps from [l] to [n]."""
+    if l < 0 or n < 0:
+        raise ValueError("arguments must be nonnegative")
+    if l > n:
+        return 0
+    return math.perm(n, l)
+
+
+def bell_number(k: int) -> int:
+    """Bell numbers by the triangle recurrence (independent of enumeration)."""
+    row = [1]
+    for _ in range(k):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]

@@ -14,7 +14,7 @@ import pytest
 import bplab
 from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
 from bplab.spectra import MAX_ENTRIES, MAX_KMAX, psi_image_moments
-from bplab.levy import triple_from_spec
+from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
 
 
 GOOD_CONFIG = {
@@ -329,6 +329,40 @@ def test_cli_run_over_budget_exits_2_before_sampling(tmp_path, capsys, monkeypat
     captured = capsys.readouterr()
     assert f"config error: {field}:" in captured.err and str(MAX_ENTRIES) in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("nodes", [7.9, 4.0, True, "401x", MAX_CAUCHY_NODES + 1, 300000000])
+def test_cauchy_nodes_out_of_bounds_exit_2_before_the_run(tmp_path, capsys, monkeypatch,
+                                                         nodes):
+    def no_run(config):
+        raise AssertionError("the config should be refused before the run")
+
+    monkeypatch.setattr("bplab.cli.run", no_run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(triple={"preset": "cauchy", "a": 1, "nodes": nodes})))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "config error: triple:" in captured.err and "'nodes'" in captured.err
+    assert captured.out == ""
+
+
+def test_cli_run_deeply_nested_config_exits_2(tmp_path, capsys):
+    # 600 nested convolve specs: the JSON decoder runs out of stack
+    depth = 600
+    text = ('{"model": "hermitian", "dims": [3], "triple": ' + '{"convolve": [' * depth
+            + '{"preset": "dirac", "a": 1}' + ']}' * depth + '}')
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 2
+    assert "config error: config: JSON nested too deeply" in capsys.readouterr().err
+
+
+def test_cli_run_bad_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BPLAB_THREADS", "abc")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config()))
+    assert main(["run", str(path)]) == 2
+    assert "config error: BPLAB_THREADS:" in capsys.readouterr().err
 
 
 def test_kmax_bound_admits_max_kmax(capsys):

@@ -4,7 +4,6 @@ from scipy import stats
 
 from bplab.hermitian import (
     HermitianSample,
-    ScalarSampler,
     default_inner_cut,
     sample_haar_unitary,
     sample_P,
@@ -37,8 +36,7 @@ def test_haar_unitary_one_dimensional_phase():
 
 
 def test_sample_Q_spectrum_is_the_diagonal_draw():
-    mu = ScalarSampler(lambda gen, n: np.arange(1.0, n + 1.0))
-    m = sample_Q(mu, 6, RngStream(1, 0))
+    m = sample_Q(np.arange(1.0, 7.0), RngStream(1, 0))
     eigs = np.linalg.eigvalsh(m.entries)
     assert np.allclose(eigs, np.arange(1.0, 7.0), atol=1e-10)
 
@@ -70,14 +68,13 @@ def test_gaussian_case_second_moment_is_dimension_free():
 
 
 def test_compound_poisson_zero_intensity():
-    rho = ScalarSampler(lambda gen, n: np.ones(n))
-    m = sample_P_compound_poisson(rho, 0.0, 5, RngStream(5, 0))
+    m = sample_P_compound_poisson(FiniteMeasure.point(1.0), 0.0, 5, RngStream(5, 0))
     assert np.all(m.entries == 0)
 
 
 def test_compound_poisson_trace_identity():
     # Tr of a sum of weighted unit-rank projections is the sum of weights
-    rho = ScalarSampler(lambda gen, n: np.full(n, 0.5))
+    rho = FiniteMeasure.point(0.5)
     gen = RngStream(5, 1).generator()
     m = sample_P_compound_poisson(rho, 2.0, 6, gen)
     trace = np.trace(m.entries).real
@@ -105,8 +102,7 @@ def test_composite_draw_order_is_gaussian_block_then_rank_ones():
     t = convolve(gaussian(0.3, 0.5), poisson(0.8))
     d = 5
     dec = _decompose(t, default_inner_cut(t))
-    locs, ws = dec.tail.rho.locations(), dec.tail.rho.weights()
-    rho = ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=ws / ws.sum()))
+    rho = dec.tail.rho
     gen = RngStream(12, 0).generator()
     expected, tails = [], []
     for _ in range(2):

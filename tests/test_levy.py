@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bplab.levy import (
+    MAX_CAUCHY_NODES,
     CompoundPoissonParams,
     FiniteMeasure,
     LevyTriple,
@@ -266,6 +267,14 @@ def test_truncation_rejects_nonpositive_cut():
         truncate(gaussian(0, 1), 0.0)
 
 
+@pytest.mark.parametrize("loc", [1e200, -1e200, 1e-200, -1e-170])
+def test_truncation_rejects_an_intensity_that_overflows(loc):
+    # u^2 overflows or underflows, so w (1 + u^2) / u^2 is nan or inf
+    t = LevyTriple(0.0, FiniteMeasure(((loc, 1.0),)))
+    with pytest.raises(ValueError, match="overflows"):
+        truncate(t, abs(loc) / 2)
+
+
 def test_compound_poisson_params_validation():
     with pytest.raises(ValueError):
         CompoundPoissonParams(-1.0, FiniteMeasure.point(1.0))
@@ -275,6 +284,13 @@ def test_compound_poisson_params_validation():
 
 # ---------------------------------------------------------------------------
 # symmetry and serialization
+
+
+def test_is_symmetric_where_the_partner_sums_overflow():
+    # locs + u overflows to +inf for two large positive atoms; the search
+    # must still see that neither has a partner, and raise no warning
+    assert not is_symmetric(LevyTriple(0.0, FiniteMeasure(((1e308, 1.0), (1.5e308, 1.0)))))
+    assert is_symmetric(LevyTriple(0.0, FiniteMeasure(((1.7e308, 1.0), (-1.7e308, 1.0)))))
 
 
 def test_is_symmetric():
@@ -362,8 +378,21 @@ def test_spec_cauchy_nodes():
         {"gamma": math.inf},
         {"gamma": 0.0, "atoms": 5},
         {"convolve": [{"gamma": 1e308}, {"gamma": 1e308}]},  # gamma overflows to inf
+        {"gamma": 10**400},  # no float holds it
+        {"gamma": 0.0, "atoms": [[10**400, 1.0]]},
+        {"gamma": 0.0, "atoms": [[1.0, 1e308], [1.0, 1e308]]},  # merged weight overflows
+        {"preset": "cauchy", "a": 1.0, "nodes": 7.9},
+        {"preset": "cauchy", "a": 1.0, "nodes": MAX_CAUCHY_NODES + 1},
     ],
 )
 def test_spec_rejects_malformed(bad):
     with pytest.raises(ValueError):
         triple_from_spec(bad)
+
+
+def test_spec_nested_past_the_recursion_limit_is_a_value_error():
+    spec = {"preset": "dirac", "a": 1.0}
+    for _ in range(5000):
+        spec = {"convolve": [spec]}
+    with pytest.raises(ValueError, match="nested too deeply"):
+        triple_from_spec(spec)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bplab.cli import main
-from bplab.hermitian import HermitianSample, _decompose, _jump_law, sample_P_many
+from bplab.hermitian import HermitianSample, _decompose, _draw_jumps, sample_P_many
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
 from bplab.nonhermitian import ComplexMatrixSample, sample_L_many, singular_values
 from bplab.rng import RngStream
@@ -55,7 +55,7 @@ def _multiplied_out(triple, model, d, rng):
     dec = _decompose(triple, None)
     gen = rng.generator()
     n = int(gen.poisson(d * dec.tail.lam))
-    x = _jump_law(dec.tail).draw(gen, n)
+    x = _draw_jumps(dec.tail.rho, gen, n)
     k = 1 if model == "hermitian" else 2
     rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
     r = (rows[:, 0].T * x) @ rows[:, -1].conj()

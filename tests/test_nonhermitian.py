@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from bplab.hermitian import ScalarSampler
 from bplab.levy import FiniteMeasure, LevyTriple, cauchy, convolve, gaussian, poisson
 from bplab.nonhermitian import (
     ComplexMatrixSample,
@@ -28,8 +27,7 @@ def test_complex_sample_validation():
 
 
 def test_sample_K_singular_values_are_absolute_draws():
-    mu = ScalarSampler(lambda gen, n: np.array([-3.0, 1.0, 2.0][:n]))
-    m = sample_K(mu, 3, RngStream(0, 0))
+    m = sample_K(np.array([-3.0, 1.0, 2.0]), RngStream(0, 0))
     s = singular_values(m)
     assert np.allclose(np.sort(s), [1.0, 2.0, 3.0], atol=1e-10)
 
@@ -52,14 +50,8 @@ def test_ginibre_second_moment():
     assert abs(vals.mean() - 1.0) < 4 * stderr
 
 
-def test_compound_poisson_requires_symmetric_jump_law():
-    rho = ScalarSampler(lambda gen, n: np.ones(n), symmetric=False)
-    with pytest.raises(ValueError):
-        sample_L_compound_poisson(rho, 1.0, 3, RngStream(2, 0))
-
-
 def test_compound_poisson_zero_intensity():
-    rho = ScalarSampler(lambda gen, n: np.ones(n), symmetric=True)
+    rho = FiniteMeasure(((-1.0, 0.5), (1.0, 0.5)))
     m = sample_L_compound_poisson(rho, 0.0, 4, RngStream(2, 1))
     assert np.all(m.entries == 0)
 
@@ -67,11 +59,11 @@ def test_compound_poisson_zero_intensity():
 def test_rank_one_rows_are_drawn_per_jump():
     # v_k is the sphere row drawn right after u_k, so the variates of jump k
     # do not depend on how many jumps follow it
-    rho = ScalarSampler(lambda gen, n: gen.choice([-1.0, 1.0], size=n), symmetric=True)
+    rho = FiniteMeasure(((-1.0, 0.5), (1.0, 0.5)))
     m = sample_L_compound_poisson(rho, 1.5, 4, RngStream(9, 0)).entries
     gen = RngStream(9, 0).generator()
     n = int(gen.poisson(4 * 1.5))
-    x = gen.choice([-1.0, 1.0], size=n)
+    x = gen.choice([-1.0, 1.0], size=n, p=[0.5, 0.5])
     rows = sample_sphere_vectors(4, 2 * n, gen)
     expected = sum(x[k] * np.outer(rows[2 * k], rows[2 * k + 1].conj()) for k in range(n))
     assert n > 1 and np.allclose(m, expected, rtol=0.0, atol=1e-12)
@@ -84,9 +76,7 @@ def test_composite_draw_order_is_ginibre_block_then_rank_ones():
     t = convolve(gaussian(0.0, 0.7), sym_two_point())
     d = 5
     dec = _decompose(t, 0.5)
-    locs, ws = dec.tail.rho.locations(), dec.tail.rho.weights()
-    rho = ScalarSampler(lambda gen, n: gen.choice(locs, size=n, p=ws / ws.sum()),
-                        symmetric=True)
+    rho = dec.tail.rho
     gen = RngStream(13, 0).generator()
     expected, tails = [], []
     for _ in range(2):

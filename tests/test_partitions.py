@@ -7,17 +7,15 @@ from bplab.partitions import (
     ENUMERATION_CAP,
     SetPartition,
     SplitGround,
-    bell_number,
     catalan_number,
     enumerate_noncrossing,
     enumerate_partitions,
-    falling_factorial,
-    interval_block,
     is_acceptable,
     is_admissible,
     is_noncrossing,
     links_halves,
 )
+from oracles import bell_number, falling_factorial, interval_block
 
 
 def P(*blocks):

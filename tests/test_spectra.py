@@ -18,13 +18,12 @@ from bplab.spectra import (
     esd,
     histogram,
     marchenko_pastur,
-    mp_atom,
     psi_image_moments,
     reference_density,
     reference_moments,
     semicircle,
 )
-from oracles import mp_transform_quad
+from oracles import mp_atom, mp_transform_quad
 
 
 def test_empirical_distribution_validation_and_sorting():

@@ -4,15 +4,13 @@ import pytest
 from bplab.levy import convolve, dirac, gaussian, poisson
 from bplab.rng import RngStream
 from bplab.sphere import (
-    SphereVector,
     pd_fourier,
     sample_simplex_points,
-    sample_sphere_vector,
     sample_sphere_vectors,
     simplex_fourier,
     sphere_moment,
 )
-from oracles import simplex_fourier_quad
+from oracles import SphereVector, sample_sphere_vector, simplex_fourier_quad
 
 
 def test_sphere_vector_validation():
