@@ -22,13 +22,14 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
-from .hermitian import HermitianSample, default_inner_cut, sample_P_many
+from .hermitian import BLOCK, HermitianSample, default_inner_cut, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
 from .levy import LevyTriple, is_symmetric, triple_from_spec, truncate
 from .rng import RngStream
 from .sphere import sample_sphere_vectors
 from .spectra import (
     MAX_ENTRIES,
+    MAX_FLOPS,
     MAX_KMAX,
     EmpiricalDistribution,
     GridSpec,
@@ -117,7 +118,7 @@ class ExperimentConfig:
                 raise ConfigError("inner_cut", "must be a positive finite number")
             cut = float(cut)
         triple = _parse_triple(doc["triple"], model)
-        _check_sample_budget(model, triple, cut, dims[-1], "dims")
+        _check_sample_budget(model, triple, cut, dims, "dims", trials)
         return cls(
             model=model,
             triple_spec=doc["triple"],
@@ -145,30 +146,60 @@ def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:
     return triple
 
 
-def _check_entries(d: int, rows: float, dim_field: str, rows_field: str, rows_what: str):
-    """A sample holds its d x d matrix plus `rows` sphere rows of d entries.
-    Refuse more than MAX_ENTRIES complex values, naming dim_field when the
-    matrix alone is over the budget and rows_field otherwise."""
-    entries = d * d + rows * d
+# The fixed cost of one trial at one dim, in the multiply-adds of MAX_FLOPS:
+# the decomposition, the draws and the statistics took 140-450 us a trial at
+# d = 1, about 2**20 multiply-adds at the rate MAX_FLOPS assumes.
+_TRIAL_FLOPS = 2**20
+
+
+def _check_entries(d: int, extra, dim_field: str, extra_field: str, what: str):
+    """A sample holds its d x d matrix plus extra(d) complex values.  Refuse
+    more than MAX_ENTRIES, naming dim_field when the matrix alone is over the
+    budget and extra_field otherwise."""
+    if d * d > MAX_ENTRIES:  # before any float: d may be too large for one
+        raise ConfigError(dim_field, f"d = {d} needs d^2 complex entries, "
+                                     f"over the budget of {MAX_ENTRIES}")
+    entries = d * d + extra(d)
     if entries > MAX_ENTRIES:
-        raise ConfigError(dim_field if d * d > MAX_ENTRIES else rows_field,
-                          f"d = {d} and {rows_what} need {entries:.6g} complex entries, "
-                          f"over the budget of {MAX_ENTRIES}")
+        shown = f"{entries:.6g}" if entries < 1e300 else "over 1e300"  # an int may not fit
+        raise ConfigError(extra_field, f"d = {d} and {what} need {shown} complex "
+                                       f"entries, over the budget of {MAX_ENTRIES}")
 
 
-def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, d: int,
-                         dim_field: str) -> None:
-    """The rows of a P or L sample: k sphere rows per rank-one jump (k = 1
-    for P, 2 for L), with E[n] = d * lam jumps in the tail beyond the cut.
-    Entries grow with d, so only the largest dim needs checking."""
+def _check_flops(dims, trials: int, tail_flops, fields: tuple[str, str, str], what: str):
+    """Each trial costs, at each dim d, d^3 multiply-adds for the spectrum,
+    tail_flops(d) for the rank-one sum and _TRIAL_FLOPS besides.  Refuse
+    trials times that sum over MAX_FLOPS, naming fields[0] (the dims) when
+    one trial is over the budget without its tail, fields[1] (the trial
+    count) when the trials are, and fields[2] (the tail) otherwise."""
+    base = sum(d**3 + _TRIAL_FLOPS for d in dims)
+    per_trial = base + sum(tail_flops(d) for d in dims)
+    if trials > MAX_FLOPS / per_trial:  # trials may be too large for a float
+        field = (fields[0] if base > MAX_FLOPS
+                 else fields[1] if trials > MAX_FLOPS / base else fields[2])
+        raise ConfigError(field, f"{trials} trial(s) of {per_trial:.6g} multiply-adds, "
+                                 f"with {what}, are over the time budget of {MAX_FLOPS}")
+
+
+def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, dims,
+                         dim_field: str, trials: int = 1) -> None:
+    """A P or L sample has E[n] = d * lam rank-one jumps beyond the cut, with
+    k sphere rows each (k = 1 for P, 2 for L).  Memory, checked at the largest
+    dim: the d x d matrix, the E[n] jump values and the k d min(E[n],
+    max(d, BLOCK)) row entries held at once, all of them while n < d keeps
+    the factors and one block of BLOCK jumps otherwise.  Time: k E[n] d^2 for
+    the rank-one products at each dim (_check_flops)."""
     cut = default_inner_cut(triple) if cut is None else cut
     try:
         lam = truncate(triple, cut)[1].lam
     except ValueError as exc:
         raise ConfigError("triple", str(exc)) from exc
-    rows = (2 if model == "nonhermitian" else 1) * d * lam
-    _check_entries(d, rows, dim_field, "triple",
-                   f"tail intensity {lam:g} beyond inner cut {cut:g}")
+    k = 2 if model == "nonhermitian" else 1
+    what = f"tail intensity {lam:g} beyond inner cut {cut:g}"
+    _check_entries(dims[-1], lambda d: k * d * min(d * lam, max(d, BLOCK)) + d * lam,
+                   dim_field, "triple", what)
+    _check_flops(dims, trials, lambda d: k * d * lam * d * d,
+                 (dim_field, "trials_per_dim", "triple"), what)
 
 
 def _is_int(value) -> bool:
@@ -474,7 +505,7 @@ def _command(args) -> int:
 
     if args.command == "sample":
         triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)), args.model)
-        _check_sample_budget(args.model, triple, None, args.dim, "--dim")
+        _check_sample_budget(args.model, triple, None, [args.dim], "--dim")
         sample_many = sample_P_many if args.model == "hermitian" else sample_L_many
         m = sample_many(triple, args.dim, RngStream(args.seed, 0), 1)[0].entries
         _write_matrix(m, sys.stdout)
@@ -484,12 +515,21 @@ def _command(args) -> int:
         if args.kmax > MAX_KMAX:
             raise ConfigError("--kmax", f"must be <= {MAX_KMAX}")
         triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)))
-        for value in psi_image_moments(triple, args.kmax).values:
+        try:
+            values = psi_image_moments(triple, args.kmax).values
+        except OverflowError as exc:  # a Python float power in the cumulants
+            raise ConfigError("triple", f"its moments overflow a float: {exc}") from exc
+        if not all(map(math.isfinite, values)):
+            raise ConfigError("triple", "its moments overflow a float")
+        for value in values:
             print(f"{value:.12g}")
         return 0
 
     if args.command == "project":
-        _check_entries(args.dim, args.count, "--dim", "--count", f"{args.count} projections")
+        what = f"{args.count} projections"
+        _check_entries(args.dim, lambda d: args.count * d, "--dim", "--count", what)
+        _check_flops([args.dim], args.trials, lambda d: args.count * d * d,
+                     ("--dim", "--trials", "--count"), what)
         report = projection_experiment(args.dim, args.count, args.trials, args.seed)
         _write_report(report, args.out)
         return 0

@@ -26,18 +26,27 @@ __all__ = [
     "default_inner_cut",
 ]
 
+# The rank-one sum of a sample with at least d terms draws and multiplies its
+# sphere rows this many jumps at a time.  Measured on one d = 1000 L sample
+# of cauchy(1, 1001) at cut 0.05 (about 13,000 jumps) and its singular
+# values, on one core: blocks of 64, 128, 256, 512 and 1024 jumps took 2.39,
+# 2.20, 2.13, 2.08 and 2.10 s, at 134-135 MB peak RSS up to 512 and 151 MB
+# at 1024; one product of all rows took 2.7 s and 880 MB.
+BLOCK = 256
+
 
 @dataclass(frozen=True, eq=False)
 class _Sample:
     """A d x d matrix sample kept in the parts it was drawn as: a dense block,
-    or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*
-    kept as its factors (x, u, w), the u_k and w_k being the rows of u and w.
-    `entries` builds the matrix; `core_spectrum` avoids it."""
+    or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*.
+    The tail is kept as its factors (x, u, w), the u_k and w_k being the rows
+    of u and w, or as the d x d sum itself (see _rank_one_sum).  `entries`
+    builds the matrix; `core_spectrum` avoids it."""
 
     block: np.ndarray | None = None
     dim: int | None = None
     shift: float = 0.0
-    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray | None = None
 
     def __post_init__(self):
         m = self.block
@@ -55,18 +64,22 @@ class _Sample:
     @cached_property
     def entries(self) -> np.ndarray:
         """The matrix, built on first use: the block or shift * I, plus the
-        tail multiplied out as (u.T * x) @ w.conj()."""
+        tail, whose factors are multiplied out as (u.T * x) @ w.conj()."""
         m = self.block if self.block is not None else self.shift * np.eye(self.dim, dtype=complex)
-        if self.tail is not None:
+        if isinstance(self.tail, tuple):
             x, u, w = self.tail
             m = m + self._tail_entries((u.T * x) @ w.conj())
+        elif self.tail is not None:
+            m = m + self._tail_entries(self.tail)
         return m
 
     @property
     def low_rank(self) -> bool:
         """No dense block and fewer rank-one terms than the dimension: the
         spectrum comes from core_spectrum."""
-        return self.block is None and (self.tail is None or self.tail[0].size < self.dim)
+        return self.block is None and (
+            self.tail is None or isinstance(self.tail, tuple) and self.tail[0].size < self.dim
+        )
 
     def core_spectrum(self, solve) -> np.ndarray:
         """For a low-rank sample with n rank-one terms: solve(C) on the n x n
@@ -95,7 +108,7 @@ class HermitianSample(_Sample):
         if m is not None:
             if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
                 raise ValueError("matrix is not Hermitian within tolerance")
-        if self.tail is not None and self.tail[2] is not self.tail[1]:
+        if isinstance(self.tail, tuple) and self.tail[2] is not self.tail[1]:
             raise ValueError("a Hermitian tail needs w = u")
 
     @staticmethod
@@ -136,14 +149,18 @@ def sample_Q(x, rng: RngStream | np.random.Generator) -> HermitianSample:
 
 def _gue_matrix(d: int, sigma2: float, gen: np.random.Generator) -> np.ndarray:
     """GUE(d, sigma2) under the trace inner product: real diagonal N(0, sigma2),
-    off-diagonal complex entries with total variance sigma2."""
+    off-diagonal complex entries with total variance sigma2.  The lower
+    triangle is written in place, so the matrix is the only d x d array."""
     m = np.zeros((d, d), dtype=complex)
     diag = standard_normal(gen, d) * np.sqrt(sigma2)
     n_off = d * (d - 1) // 2
     if n_off:
-        m[np.triu_indices(d, k=1)] = standard_complex_normal(gen, n_off) * np.sqrt(sigma2)
-        m += m.conj().T
-    m[np.diag_indices(d)] = diag
+        upper = np.triu_indices(d, k=1)
+        off = standard_complex_normal(gen, n_off)
+        off *= np.sqrt(sigma2)
+        m[upper] = off
+        m[upper[::-1]] = np.conjugate(off, out=off)
+    np.fill_diagonal(m, diag)
     return m
 
 
@@ -151,7 +168,8 @@ def sample_P_gaussian(
     mean: float, var: float, d: int, rng: RngStream | np.random.Generator
 ) -> HermitianSample:
     """Exact Gaussian case: sqrt(var) * (GUE(d, 1/(d+1)) + X/sqrt(d+1) * I) + mean * I
-    with X an independent standard real Gaussian."""
+    with X an independent standard real Gaussian.  The scaling and the
+    diagonal terms are applied in place."""
     if var < 0:
         raise ValueError("variance must be nonnegative")
     if d < 1:
@@ -159,9 +177,12 @@ def sample_P_gaussian(
     gen = as_generator(rng)
     if var == 0:
         return HermitianSample(dim=d, shift=mean)
-    n = _gue_matrix(d, 1.0 / (d + 1), gen)
+    m = _gue_matrix(d, 1.0 / (d + 1), gen)
     x = float(standard_normal(gen, 1)[0])
-    m = np.sqrt(var) * (n + x / np.sqrt(d + 1) * np.eye(d)) + mean * np.eye(d)
+    scale = np.sqrt(var)
+    diag = scale * (m.diagonal().real + x / np.sqrt(d + 1)) + mean
+    m *= scale
+    np.fill_diagonal(m, diag)
     return HermitianSample(m)
 
 
@@ -172,9 +193,13 @@ def _draw_jumps(rho: FiniteMeasure, gen: np.random.Generator, n: int) -> np.ndar
 
 
 def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
-    """The factors (x, u, w) of sum_k x_k u_k w_k^* over a Poisson(d * lam)
-    count of jumps x_k ~ rho and sphere rows u_k; w is u, or with pairs the
-    independent rows w_k, each drawn right after its u_k."""
+    """The tail sum_k x_k u_k w_k^* over a Poisson(d * lam) count n of jumps
+    x_k ~ rho and sphere rows u_k; w is u, or with pairs the independent rows
+    w_k, each drawn right after its u_k.  All n jumps are drawn first, then
+    the rows.  For n < d the factors (x, u, w) are returned.  Otherwise the
+    rows are drawn BLOCK jumps at a time, into one buffer, and their products
+    summed into one d x d array: the rows are the same bits in any chunking
+    (rng.py), and only O(d^2 + BLOCK d) entries are held."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(gen.poisson(d * lam))
@@ -182,9 +207,23 @@ def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
         u = np.zeros((0, d), dtype=complex)
         return np.zeros(0), u, u
     x = _draw_jumps(rho, gen, n)
-    rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
-    u = rows[:, 0]
-    return x, u, (rows[:, 1] if pairs else u)
+    k = 2 if pairs else 1
+    if n < d:
+        rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
+        u = rows[:, 0]
+        return x, u, (rows[:, 1] if pairs else u)
+    rows = np.empty((k * min(n, BLOCK), d), dtype=complex)  # reused by every block
+    r = term = None
+    for xb in np.split(x, range(BLOCK, n, BLOCK)):
+        m = k * xb.size
+        block = sample_sphere_vectors(d, m, gen, rows[:m]).reshape(xb.size, k, d)
+        u, w = block[:, 0], block[:, -1]
+        if r is None:  # assigned, not added to zeros: one block is one product
+            r = (u.T * xb) @ w.conj()
+        else:
+            term = np.matmul(u.T * xb, w.conj(), out=term)
+            r += term
+    return r
 
 
 def sample_P_compound_poisson(
@@ -192,7 +231,7 @@ def sample_P_compound_poisson(
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     sphere projections, M = sum_k x_k u_k u_k^* with x_k ~ rho, kept as its
-    factors."""
+    factors or as their sum (_rank_one_sum)."""
     return HermitianSample(dim=d, tail=_rank_one_sum(rho, lam, d, as_generator(rng)))
 
 

@@ -68,8 +68,8 @@ def sample_L_compound_poisson(
 ) -> ComplexMatrixSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     outer products x u v^* with x ~ rho and independent sphere vectors u, v,
-    kept as their factors.  The model needs a symmetric law; sample_L_many
-    checks that on the triple."""
+    kept as their factors or as their sum (hermitian._rank_one_sum).  The
+    model needs a symmetric law; sample_L_many checks that on the triple."""
     tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
     return ComplexMatrixSample(dim=d, tail=tail)
 

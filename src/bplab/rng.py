@@ -52,8 +52,13 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return gen.standard_normal(size)
 
 
-def standard_complex_normal(gen: np.random.Generator, size) -> np.ndarray:
+def standard_complex_normal(gen: np.random.Generator, size, out=None) -> np.ndarray:
     """Standard complex Gaussians, real and imaginary parts N(0, 1/2) each,
-    drawn as consecutive (re, im) pairs."""
+    drawn as consecutive (re, im) pairs, into `out` when it is given (a
+    C-contiguous complex array of that shape)."""
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    return gen.standard_normal(shape + (2,)).view(complex)[..., 0] / np.sqrt(2.0)
+    if out is None:
+        out = np.empty(shape, dtype=complex)
+    gen.standard_normal(out=out.view(float).reshape(shape + (2,)))
+    out /= np.sqrt(2.0)
+    return out

@@ -14,6 +14,7 @@ from .levy import LevyTriple, cumulants_from_triple
 
 __all__ = [
     "MAX_ENTRIES",
+    "MAX_FLOPS",
     "MAX_KMAX",
     "EmpiricalDistribution",
     "ReferenceLaw",
@@ -36,6 +37,14 @@ __all__ = [
 # Configs whose matrices or distance grid would need more are rejected when
 # they are parsed, before anything is drawn.
 MAX_ENTRIES = 2**26
+
+# The most complex multiply-adds a run, `bplab sample` or `bplab project` may
+# ask for: 2**39, one dense eigensolve at the largest dim that MAX_ENTRIES
+# admits (8192).  At the 4-5e9 multiply-adds a second that one x86-64 core
+# reached in eigvalsh and in the rank-one products, that is about two
+# minutes.  The cost model (cli._check_flops) counts d^3 for each spectrum,
+# k E[n] d^2 for each rank-one sum and a fixed cost per trial.
+MAX_FLOPS = 2**39
 
 # The highest moment order a run or `bplab moments` may ask for.  The free
 # moments of a triple cost O(kmax^4) Python steps: 0.19 s at 64, 0.9 s at

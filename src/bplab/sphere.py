@@ -30,15 +30,17 @@ DEGENERACY_TOL = 1e-8
 
 
 def sample_sphere_vectors(
-    d: int, n: int, rng: RngStream | np.random.Generator
+    d: int, n: int, rng: RngStream | np.random.Generator, out=None
 ) -> np.ndarray:
-    """n uniform sphere vectors as the rows of an (n, d) complex array: each
-    a standard complex Gaussian vector, renormalized."""
+    """n uniform sphere vectors as the rows of an (n, d) complex array, or of
+    `out` when it is given: each a standard complex Gaussian vector,
+    renormalized."""
     if d < 1:
         raise ValueError("d must be positive")
     gen = as_generator(rng)
-    z = standard_complex_normal(gen, (n, d))
-    return z / np.linalg.norm(z, axis=1, keepdims=True)
+    z = standard_complex_normal(gen, (n, d), out)
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z
 
 
 def sample_simplex_points(

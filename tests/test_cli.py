@@ -13,7 +13,7 @@ import pytest
 
 import bplab
 from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
-from bplab.spectra import MAX_ENTRIES, MAX_KMAX, psi_image_moments
+from bplab.spectra import MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, psi_image_moments
 from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
 
 
@@ -215,7 +215,8 @@ def test_cli_moments_rejects_bad_spec(capsys):
     assert main(["moments", json.dumps({"preset": "nope"})]) == 2
     for spec, name in [({"preset": "gaussian", "mean": 0}, "'var'"),
                        ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "'mean'"),
-                       ({"gamma": float("inf")}, "'gamma'")]:
+                       ({"gamma": float("inf")}, "'gamma'"),
+                       ({"gamma": 0, "atoms": [[1e100, 1]]}, "triple")]:
         capsys.readouterr()
         assert main(["moments", json.dumps(spec)]) == 2
         assert name in capsys.readouterr().err
@@ -231,6 +232,7 @@ def test_cli_moments_rejects_bad_spec(capsys):
         (["project", "--dim", "4", "--count", "1", "--trials", "0"], "--trials"),
         (["moments", '{"preset":"dirac","a":1}', "--kmax", "0"], "--kmax"),
         (["moments", '{"preset":"dirac","a":1}', "--kmax", str(MAX_KMAX + 1)], "--kmax"),
+        (["moments", '{"gamma":0,"atoms":[[1e100,1]]}', "--kmax", "8"], "triple"),
     ],
 )
 def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
@@ -417,6 +419,70 @@ def test_budget_uses_the_configured_inner_cut():
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(dict(doc, inner_cut=0.002))
     assert err.value.path == "triple"
+
+
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"trials_per_dim": 10**9}, "trials_per_dim"),
+        ({"dims": [1000], "trials_per_dim": 1000}, "trials_per_dim"),
+        ({"dims": [5000, 6000, 7000, 8000], "trials_per_dim": 1}, "dims"),
+        ({"triple": {"preset": "poisson", "lambda": 20000}, "dims": [2048]}, "triple"),
+    ],
+    ids=["many-trials", "trials-at-a-large-dim", "dims", "tail"],
+)
+def test_cli_run_over_the_time_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
+                                                              overrides, field):
+    # each of these fits the memory budget
+    def no_run(config):
+        raise AssertionError("the config should be refused before the run")
+
+    monkeypatch.setattr("bplab.cli.run", no_run)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(**overrides)))
+    assert main(["run", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err and str(MAX_FLOPS) in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, field",
+    [
+        (["sample", '{"preset":"poisson","lambda":20000}', "--dim", "2048"], "triple"),
+        (["project", "--dim", "1000", "--count", "500", "--trials", "10000000"], "--trials"),
+    ],
+    ids=["sample-tail", "project-trials"],
+)
+def test_cli_sample_and_project_over_the_time_budget_exit_2(monkeypatch, capsys, argv, field):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the arguments should be refused before sampling")
+
+    for name in ("sample_P_many", "sample_L_many", "projection_experiment"):
+        monkeypatch.setattr(f"bplab.cli.{name}", unreachable)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert f"config error: {field}:" in captured.err and str(MAX_FLOPS) in captured.err
+
+
+def test_budget_admits_large_tails_that_the_blocked_sum_holds():
+    # about 26,000 jumps at d = 2000: all their rows would be 1.05e8 complex
+    # entries, over MAX_ENTRIES; one block of rows and the sum are 4.0e6
+    doc = config(model="nonhermitian", triple={"preset": "cauchy", "a": 1.0, "nodes": 1001},
+                 dims=[2000], inner_cut=0.05)
+    assert ExperimentConfig.from_dict(doc).dims == (2000,)
+
+
+def test_project_with_a_count_too_large_for_a_float_exits_2(capsys):
+    assert main(["project", "--dim", "4", "--count", str(10**400)]) == 2
+    assert "config error: --count:" in capsys.readouterr().err
+
+
+def test_huge_dims_exit_2_naming_dims(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config(dims=[10**400])))
+    assert main(["run", str(path)]) == 2
+    assert "config error: dims:" in capsys.readouterr().err
 
 
 def test_benchmark_workloads_fit_the_budget():

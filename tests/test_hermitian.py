@@ -1,3 +1,6 @@
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -14,8 +17,19 @@ from bplab.hermitian import (
     sample_Q,
 )
 from bplab.levy import FiniteMeasure, LevyTriple, convolve, dirac, gaussian, poisson
-from bplab.rng import RngStream
+from bplab.rng import RngStream, standard_complex_normal
 from oracles import ks_continuous, ks_integer
+
+# SHA-256 of sample_P_gaussian(mean, var, d, RngStream(9, t)).entries, keyed
+# by (mean, var, d, t) and recorded (numpy 2.4.6, x86-64) with the sampler
+# that built the GUE block and its diagonal terms out of place.
+GAUSSIAN_BYTES = {
+    (0.0, 1.0, 1, 0): "9d9e80464d91ed61493b8d0f0e08f47a7d4603142214c3acae73e6213bc6f0b1",
+    (0.5, 2.0, 2, 1): "b5798da0052b4157cb625ddd61f0e11bcf43794c64f45be0c529fa01f449bf12",
+    (-1.25, 0.3, 17, 2): "b602b1a5211775f8282a854f8b5e7951d1792105d1d7871b45234369fdd0b594",
+    (3.0, 1.0, 60, 3): "22f9dfea98fa19a919c8987e91ba535d5f9246872cc7c38a152648d03d191948",
+    (0.0, 4.0, 201, 4): "6e93e70bed7df5c708267b375b405401e119bcda50982d2e9525d46bab94e1b2",
+}
 
 
 def test_hermitian_sample_validation():
@@ -155,3 +169,40 @@ def test_streams_are_reproducible_and_distinct():
     c = sample_P(gaussian(0, 1), 5, RngStream(9, 1)).entries
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _gaussian_out_of_place(mean, var, d, rng):
+    """sample_P_gaussian's entries as they were built before the scaling and
+    the diagonal terms went in place."""
+    gen = rng.generator()
+    sigma2 = 1.0 / (d + 1)
+    m = np.zeros((d, d), dtype=complex)
+    diag = gen.standard_normal(d) * np.sqrt(sigma2)
+    n_off = d * (d - 1) // 2
+    if n_off:
+        m[np.triu_indices(d, k=1)] = standard_complex_normal(gen, n_off) * np.sqrt(sigma2)
+        m += m.conj().T
+    m[np.diag_indices(d)] = diag
+    x = float(gen.standard_normal(1)[0])
+    return np.sqrt(var) * (m + x / np.sqrt(d + 1) * np.eye(d)) + mean * np.eye(d)
+
+
+@pytest.mark.parametrize("case", list(GAUSSIAN_BYTES))
+def test_gaussian_entries_keep_their_bytes(case):
+    mean, var, d, t = case
+    got = sample_P_gaussian(mean, var, d, RngStream(9, t)).entries.tobytes()
+    assert got == _gaussian_out_of_place(mean, var, d, RngStream(9, t)).tobytes()
+    assert hashlib.sha256(got).hexdigest() == GAUSSIAN_BYTES[case]
+
+
+def test_gaussian_case_peaks_at_a_few_matrices():
+    # the Hermitian check of the sample takes three d x d arrays at once;
+    # the out-of-place diagonal terms took four
+    sample_P_gaussian(0.5, 2.0, 3, RngStream(1, 0))
+    tracemalloc.start()
+    try:
+        m = sample_P_gaussian(0.5, 2.0, 400, RngStream(1, 0)).entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * m.nbytes
