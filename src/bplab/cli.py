@@ -22,11 +22,11 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
-from .hermitian import BLOCK, HermitianSample, default_inner_cut, sample_P_many
+from .hermitian import (BLOCK, HermitianSample, _rank_one_terms, default_inner_cut,
+                        sample_P_many)
 from .nonhermitian import sample_L_many, symmetrized_singular_law
 from .levy import LevyTriple, is_symmetric, triple_from_spec, truncate
 from .rng import RngStream
-from .sphere import sample_sphere_vectors
 from .spectra import (
     MAX_ENTRIES,
     MAX_FLOPS,
@@ -152,28 +152,31 @@ def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:
 _TRIAL_FLOPS = 2**20
 
 
-def _check_entries(d: int, extra, dim_field: str, extra_field: str, what: str):
-    """A sample holds its d x d matrix plus extra(d) complex values.  Refuse
-    more than MAX_ENTRIES, naming dim_field when the matrix alone is over the
-    budget and extra_field otherwise."""
+def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str],
+                  what: str) -> None:
+    """A trial at dim d has n = terms(d) rank-one terms of k sphere rows
+    each (hermitian._rank_one_terms).  Memory, checked at the largest dim:
+    the d x d matrix, the n jump values and the k d min(n, max(d, BLOCK))
+    row entries held at once, all of them while n < d keeps the factors and
+    one block of BLOCK terms otherwise; over MAX_ENTRIES names fields[0]
+    (the dims) when the matrix alone is over the budget and fields[2] (the
+    terms) otherwise.  Time: each trial costs, at each dim, d^3 multiply-adds
+    for the spectrum, k n d^2 for the rank-one products and _TRIAL_FLOPS
+    besides; trials times that sum over MAX_FLOPS names fields[0] when one
+    trial is over the budget without its terms, fields[1] (the trial count)
+    when the trials are, and fields[2] otherwise."""
+    d = dims[-1]
     if d * d > MAX_ENTRIES:  # before any float: d may be too large for one
-        raise ConfigError(dim_field, f"d = {d} needs d^2 complex entries, "
+        raise ConfigError(fields[0], f"d = {d} needs d^2 complex entries, "
                                      f"over the budget of {MAX_ENTRIES}")
-    entries = d * d + extra(d)
+    n = terms(d)
+    entries = d * d + k * d * min(n, max(d, BLOCK)) + n
     if entries > MAX_ENTRIES:
         shown = f"{entries:.6g}" if entries < 1e300 else "over 1e300"  # an int may not fit
-        raise ConfigError(extra_field, f"d = {d} and {what} need {shown} complex "
-                                       f"entries, over the budget of {MAX_ENTRIES}")
-
-
-def _check_flops(dims, trials: int, tail_flops, fields: tuple[str, str, str], what: str):
-    """Each trial costs, at each dim d, d^3 multiply-adds for the spectrum,
-    tail_flops(d) for the rank-one sum and _TRIAL_FLOPS besides.  Refuse
-    trials times that sum over MAX_FLOPS, naming fields[0] (the dims) when
-    one trial is over the budget without its tail, fields[1] (the trial
-    count) when the trials are, and fields[2] (the tail) otherwise."""
+        raise ConfigError(fields[2], f"d = {d} and {what} need {shown} complex "
+                                     f"entries, over the budget of {MAX_ENTRIES}")
     base = sum(d**3 + _TRIAL_FLOPS for d in dims)
-    per_trial = base + sum(tail_flops(d) for d in dims)
+    per_trial = base + sum(k * terms(d) * d * d for d in dims)
     if trials > MAX_FLOPS / per_trial:  # trials may be too large for a float
         field = (fields[0] if base > MAX_FLOPS
                  else fields[1] if trials > MAX_FLOPS / base else fields[2])
@@ -183,23 +186,16 @@ def _check_flops(dims, trials: int, tail_flops, fields: tuple[str, str, str], wh
 
 def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, dims,
                          dim_field: str, trials: int = 1) -> None:
-    """A P or L sample has E[n] = d * lam rank-one jumps beyond the cut, with
-    k sphere rows each (k = 1 for P, 2 for L).  Memory, checked at the largest
-    dim: the d x d matrix, the E[n] jump values and the k d min(E[n],
-    max(d, BLOCK)) row entries held at once, all of them while n < d keeps
-    the factors and one block of BLOCK jumps otherwise.  Time: k E[n] d^2 for
-    the rank-one products at each dim (_check_flops)."""
+    """A P or L sample has E[n] = d * lam rank-one terms beyond the cut, with
+    k = 1 sphere row each for P and k = 2 for L (_check_budget)."""
     cut = default_inner_cut(triple) if cut is None else cut
     try:
         lam = truncate(triple, cut)[1].lam
     except ValueError as exc:
         raise ConfigError("triple", str(exc)) from exc
-    k = 2 if model == "nonhermitian" else 1
-    what = f"tail intensity {lam:g} beyond inner cut {cut:g}"
-    _check_entries(dims[-1], lambda d: k * d * min(d * lam, max(d, BLOCK)) + d * lam,
-                   dim_field, "triple", what)
-    _check_flops(dims, trials, lambda d: k * d * lam * d * d,
-                 (dim_field, "trials_per_dim", "triple"), what)
+    _check_budget(dims, trials, 2 if model == "nonhermitian" else 1, lambda d: d * lam,
+                  (dim_field, "trials_per_dim", "triple"),
+                  f"tail intensity {lam:g} beyond inner cut {cut:g}")
 
 
 def _is_int(value) -> bool:
@@ -381,15 +377,16 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     """Fixed-count projection sums: spectral moments of sums of d_prime
     rank-one sphere projections versus the Marchenko-Pastur law with index
     d_prime / d.  Each sum is a sample with unit jumps and no shift, so for
-    d_prime < d its spectrum comes from a d_prime x d_prime core."""
+    d_prime < d its spectrum comes from a d_prime x d_prime core, and for
+    d_prime >= d the terms are summed BLOCK at a time (_rank_one_terms)."""
     if d < 1 or d_prime < 0 or trials < 1:
         raise ValueError("need d >= 1, d_prime >= 0, trials >= 1")
     lam = d_prime / d
     kmax = 4
     per_trial = []
     for trial in range(trials):
-        u = sample_sphere_vectors(d, d_prime, RngStream(seed, trial))
-        law = esd(HermitianSample(dim=d, tail=(np.ones(d_prime), u, u)))
+        tail = _rank_one_terms(np.ones(d_prime), d, RngStream(seed, trial).generator())
+        law = esd(HermitianSample(dim=d, tail=tail))
         per_trial.append(empirical_moments(law, kmax).values)
     per_trial = np.array(per_trial)
     ref = reference_moments(marchenko_pastur(lam), kmax)
@@ -526,10 +523,8 @@ def _command(args) -> int:
         return 0
 
     if args.command == "project":
-        what = f"{args.count} projections"
-        _check_entries(args.dim, lambda d: args.count * d, "--dim", "--count", what)
-        _check_flops([args.dim], args.trials, lambda d: args.count * d * d,
-                     ("--dim", "--trials", "--count"), what)
+        _check_budget([args.dim], args.trials, 1, lambda d: args.count,
+                      ("--dim", "--trials", "--count"), f"{args.count} projections")
         report = projection_experiment(args.dim, args.count, args.trials, args.seed)
         _write_report(report, args.out)
         return 0

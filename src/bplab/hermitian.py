@@ -40,7 +40,7 @@ class _Sample:
     """A d x d matrix sample kept in the parts it was drawn as: a dense block,
     or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*.
     The tail is kept as its factors (x, u, w), the u_k and w_k being the rows
-    of u and w, or as the d x d sum itself (see _rank_one_sum).  `entries`
+    of u and w, or as the d x d sum itself (see _rank_one_terms).  `entries`
     builds the matrix; `core_spectrum` avoids it."""
 
     block: np.ndarray | None = None
@@ -106,7 +106,9 @@ class HermitianSample(_Sample):
         super().__post_init__()
         m = self.block
         if m is not None:
-            if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+            asym = np.conj(m.T)  # the one d x d temporary of the check
+            asym -= m
+            if np.max(np.abs(asym)) > 1e-10 * max(1.0, np.max(np.abs(m))):
                 raise ValueError("matrix is not Hermitian within tolerance")
         if isinstance(self.tail, tuple) and self.tail[2] is not self.tail[1]:
             raise ValueError("a Hermitian tail needs w = u")
@@ -193,20 +195,25 @@ def _draw_jumps(rho: FiniteMeasure, gen: np.random.Generator, n: int) -> np.ndar
 
 
 def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
-    """The tail sum_k x_k u_k w_k^* over a Poisson(d * lam) count n of jumps
-    x_k ~ rho and sphere rows u_k; w is u, or with pairs the independent rows
-    w_k, each drawn right after its u_k.  All n jumps are drawn first, then
-    the rows.  For n < d the factors (x, u, w) are returned.  Otherwise the
-    rows are drawn BLOCK jumps at a time, into one buffer, and their products
-    summed into one d x d array: the rows are the same bits in any chunking
-    (rng.py), and only O(d^2 + BLOCK d) entries are held."""
+    """The tail over a Poisson(d * lam) count n of jumps x_k ~ rho: all n
+    jumps are drawn first, then the rows of their terms (_rank_one_terms)."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(gen.poisson(d * lam))
     if n == 0:
         u = np.zeros((0, d), dtype=complex)
         return np.zeros(0), u, u
-    x = _draw_jumps(rho, gen, n)
+    return _rank_one_terms(_draw_jumps(rho, gen, n), d, gen, pairs)
+
+
+def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False):
+    """The tail sum_k x_k u_k w_k^* over the n = x.size jumps x and sphere
+    rows u_k; w is u, or with pairs the independent rows w_k, each drawn
+    right after its u_k.  For n < d the factors (x, u, w) are returned.
+    Otherwise the rows are drawn BLOCK jumps at a time, into one buffer, and
+    their products summed into one d x d array: the rows are the same bits in
+    any chunking (rng.py), and only O(d^2 + BLOCK d) entries are held."""
+    n = x.size
     k = 2 if pairs else 1
     if n < d:
         rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)

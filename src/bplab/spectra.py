@@ -10,6 +10,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cumulants import CumulantSequence, MomentSequence, bp_transport, moments_from_cumulants
+# the class itself: perfbench/tracing.py replaces hermitian's name with a counting function
+from .hermitian import HermitianSample
 from .levy import LevyTriple, cumulants_from_triple
 
 __all__ = [
@@ -151,14 +153,11 @@ class GridSpec:
 
 def esd(M) -> EmpiricalDistribution:
     """Empirical spectral distribution: eigenvalues with weight 1/d each.  M is
-    a Hermitian array, or a sample that solves for its own eigenvalues
-    (HermitianSample.eigenvalues: from an n x n core when it is low rank)."""
-    if hasattr(M, "eigenvalues"):
-        return EmpiricalDistribution.from_samples(M.eigenvalues())
-    m = M.entries if hasattr(M, "entries") else np.asarray(M)
-    if np.max(np.abs(m - m.conj().T)) > 1e-8 * max(1.0, float(np.max(np.abs(m)))):
-        raise ValueError("matrix is not Hermitian")
-    return EmpiricalDistribution.from_samples(np.linalg.eigvalsh(m))
+    a Hermitian sample, which solves for its own eigenvalues (from an n x n
+    core when it is low rank), or an array, checked as one."""
+    if not isinstance(M, HermitianSample):
+        M = HermitianSample(np.asarray(M))
+    return EmpiricalDistribution.from_samples(M.eigenvalues())
 
 
 def empirical_moments(nu: EmpiricalDistribution, kmax: int) -> MomentSequence:
@@ -298,17 +297,14 @@ def psi_image_moments(t: LevyTriple, kmax: int) -> MomentSequence:
     return moments_from_cumulants(bp_transport(cumulants_from_triple(t, kmax)))
 
 
-def histogram(nu: EmpiricalDistribution, bins: int, range_=None):
+def histogram(nu: EmpiricalDistribution, bins: int):
     """Mass-preserving binning: list of (bin_center, mass) pairs."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     x = nu.support_points
-    if range_ is None:
-        lo, hi = float(x.min()), float(x.max())
-        if lo == hi:
-            lo, hi = lo - 0.5, hi + 0.5
-    else:
-        lo, hi = range_
+    lo, hi = float(x.min()), float(x.max())
+    if lo == hi:
+        lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
     mass = np.zeros(bins)

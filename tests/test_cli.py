@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import importlib.util
 import io
 import json
@@ -6,15 +7,19 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bplab
-from bplab.cli import ConfigError, ExperimentConfig, main, projection_experiment, run
+from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_experiment, run
+from bplab.hermitian import BLOCK
+from bplab.rng import RngStream
 from bplab.spectra import MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, psi_image_moments
 from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
+from bplab.sphere import sample_sphere_vectors
 
 
 GOOD_CONFIG = {
@@ -401,14 +406,18 @@ def test_cli_sample_and_project_over_budget_exit_2_before_sampling(monkeypatch, 
 
 
 def test_budget_counts_two_rows_per_jump_for_the_nonhermitian_model():
-    # two-point symmetric tail of intensity 2 at d = 4096: d^2 (1 + 2) entries
-    # fit the budget for P, d^2 (1 + 2 * 2) do not for L
+    # two-point symmetric tail of intensity 2 at d = 4096, n = 2 d terms: the
+    # blocked sum holds about d^2 (1 + k) entries, which fit the memory budget
+    # for both models.  Two trials of d^3 (1 + 2 k) multiply-adds fit the time
+    # budget for P (k = 1) and not for L (k = 2)
     doc = config(triple={"gamma": 0.0, "atoms": [[1.0, 0.5], [-1.0, 0.5]]}, dims=[4096])
-    assert 3 * 4096**2 <= MAX_ENTRIES < 5 * 4096**2
+    assert 3 * 4096**2 + 2 * 4096 <= MAX_ENTRIES
+    assert 2 * 3 * 4096**3 <= MAX_FLOPS < 2 * 5 * 4096**3
     assert ExperimentConfig.from_dict(doc).dims == (4096,)
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(dict(doc, model="nonhermitian"))
     assert err.value.path == "triple"
+    assert f"time budget of {MAX_FLOPS}" in str(err.value)
 
 
 def test_budget_uses_the_configured_inner_cut():
@@ -492,6 +501,70 @@ def test_benchmark_workloads_fit_the_budget():
     spec.loader.exec_module(workloads)
     for doc in workloads.WORKLOADS.values():
         ExperimentConfig.from_dict(dict(doc, seed=5))
+
+
+# SHA-256 of the stdout of `bplab project <args>` with version "unknown",
+# recorded (numpy 2.4.6, scipy-openblas 0.3.31, x86-64) when the projection
+# sums drew all their rows in one call and multiplied them out in one product
+PROJECT_STDOUT = [
+    (["--dim", "50", "--count", "25", "--trials", "3"],  # count < d: the core
+     "b32a51500d197386923512c13d63fffe7338f68826d9aa9f8cfce0ee53c30d86"),
+    (["--dim", "100", "--count", "200", "--trials", "2"],  # d <= count <= BLOCK
+     "d0d37419064e5d9c77f77f6203d4f9c71a370c73dc7bb9777783990a867637a3"),
+]
+
+
+@pytest.mark.parametrize("args, sha", PROJECT_STDOUT, ids=["core", "one-block"])
+def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, capsys,
+                                                                   args, sha):
+    monkeypatch.setattr("bplab.cli._version", lambda: "unknown")
+    assert main(["project", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+def test_blocked_project_moments_agree_with_the_one_product(capsys):
+    # 700 terms at d = 100: three blocks, added one by one
+    d, count, trials = 100, 700, 2
+    assert main(["project", "--dim", str(d), "--count", str(count),
+                 "--trials", str(trials)]) == 0
+    by_name = {r["stat_name"]: r["mean"] for r in json.loads(capsys.readouterr().out)["rows"]}
+    got = np.array([by_name[f"m{k}"] for k in range(1, 5)])
+    per_trial = []
+    for trial in range(trials):
+        u = sample_sphere_vectors(d, count, RngStream(0, trial).generator())
+        r = u.T @ u.conj()
+        eigs = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
+        per_trial.append([np.mean(eigs**k) for k in range(1, 5)])
+    want = np.mean(per_trial, axis=0)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
+def test_projection_experiment_holds_O_d2_plus_block_d():
+    # all 3000 rows at d = 300 are 9e5 complex entries; one block and the sum 1.7e5
+    d = 300
+    projection_experiment(2, 3, 1, 0)  # warm caches and imports
+    tracemalloc.start()
+    try:
+        projection_experiment(d, 3000, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * (d * d + BLOCK * d) * 16
+
+
+def test_project_budget_counts_one_block_of_rows(monkeypatch, capsys):
+    # 40,000 rows at d = 2048 would be 8.2e7 complex entries, over
+    # MAX_ENTRIES; the blocked sum holds d^2 + d^2 + 40,000 = 8.4e6
+    assert 2048 * 40000 > MAX_ENTRIES
+    calls = []
+
+    def stub(*args):
+        calls.append(args)
+        return Report(config={}, seed=0, version="unknown")
+
+    monkeypatch.setattr("bplab.cli.projection_experiment", stub)
+    assert main(["project", "--dim", "2048", "--count", "40000", "--trials", "1"]) == 0
+    assert calls == [(2048, 40000, 1, 0)]
 
 
 def test_cli_project_subcommand(tmp_path):
