@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from . import spectra
-from .hermitian import (BLOCK, HermitianSample, _rank_one_terms, default_inner_cut,
-                        sample_P_many)
+from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, is_symmetric, triple_from_spec, truncate
+from .levy import LevyTriple, is_symmetric, triple_from_spec
 from .rng import RngStream
 from .spectra import (
     MAX_ENTRIES,
@@ -187,15 +186,15 @@ def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str]
 def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, dims,
                          dim_field: str, trials: int = 1) -> None:
     """A P or L sample has E[n] = d * lam rank-one terms beyond the cut, with
-    k = 1 sphere row each for P and k = 2 for L (_check_budget)."""
-    cut = default_inner_cut(triple) if cut is None else cut
+    k = 1 sphere row each for P and k = 2 for L (_check_budget); lam and the
+    cut are the sampler's own (hermitian._decompose)."""
     try:
-        lam = truncate(triple, cut)[1].lam
+        dec = _decompose(triple, cut)
     except ValueError as exc:
         raise ConfigError("triple", str(exc)) from exc
-    _check_budget(dims, trials, 2 if model == "nonhermitian" else 1, lambda d: d * lam,
+    _check_budget(dims, trials, 2 if model == "nonhermitian" else 1, lambda d: d * dec.tail.lam,
                   (dim_field, "trials_per_dim", "triple"),
-                  f"tail intensity {lam:g} beyond inner cut {cut:g}")
+                  f"tail intensity {dec.tail.lam:g} beyond inner cut {dec.cut:g}")
 
 
 def _is_int(value) -> bool:
@@ -294,29 +293,36 @@ def run(config: ExperimentConfig) -> Report:
         else:
             laws = [_trial_law(config, d, t) for t in trials]
         pooled = _pool(laws)
-        if config.moments_kmax is not None:
-            per_trial = np.array(
-                [empirical_moments(law, config.moments_kmax).values for law in laws]
-            )
-            for k in range(1, config.moments_kmax + 1):
-                mean, stderr = _aggregate(per_trial[:, k - 1])
+        # the statistics of a law near the float limits overflow: a warning
+        # would end the run, so non-finite means and centres are refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.moments_kmax is not None:
+                per_trial = np.array(
+                    [empirical_moments(law, config.moments_kmax).values for law in laws]
+                )
+                for k in range(1, config.moments_kmax + 1):
+                    mean, stderr = _aggregate(per_trial[:, k - 1])
+                    report.rows.append(
+                        {"dim": d, "trial_count": len(trials), "stat_name": f"m{k}",
+                         "mean": mean, "stderr": stderr}
+                    )
+            if config.histogram_bins is not None:
+                report.histograms[str(d)] = spectra.histogram(pooled, config.histogram_bins)
+            if target_law is not None:
+                dists = np.array([cauchy_sup_distance(law, target_law, grid) for law in laws])
+                mean, stderr = _aggregate(dists)
                 report.rows.append(
-                    {"dim": d, "trial_count": len(trials), "stat_name": f"m{k}",
+                    {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance",
                      "mean": mean, "stderr": stderr}
                 )
-        if config.histogram_bins is not None:
-            report.histograms[str(d)] = spectra.histogram(pooled, config.histogram_bins)
-        if target_law is not None:
-            dists = np.array([cauchy_sup_distance(law, target_law, grid) for law in laws])
-            mean, stderr = _aggregate(dists)
-            report.rows.append(
-                {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance",
-                 "mean": mean, "stderr": stderr}
-            )
-            report.rows.append(
-                {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance_pooled",
-                 "mean": cauchy_sup_distance(pooled, target_law, grid), "stderr": float("nan")}
-            )
+                report.rows.append(
+                    {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance_pooled",
+                     "mean": cauchy_sup_distance(pooled, target_law, grid), "stderr": float("nan")}
+                )
+        if not all(math.isfinite(row["mean"]) for row in report.rows) or not all(
+            math.isfinite(c) for c, _ in report.histograms.get(str(d), ())
+        ):
+            raise ConfigError("triple", f"its statistics at d = {d} overflow a float")
     return report
 
 

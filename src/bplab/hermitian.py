@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .levy import CompoundPoissonParams, FiniteMeasure, LevyTriple, running_sum, truncate
+from .levy import (CompoundPoissonParams, FiniteMeasure, LevyTriple, at_zero, running_sum,
+                   truncate)
 from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
 from .sphere import sample_sphere_vectors
 
@@ -23,7 +24,6 @@ __all__ = [
     "sample_P_compound_poisson",
     "sample_P",
     "sample_P_many",
-    "default_inner_cut",
 ]
 
 # The rank-one sum of a sample with at least d terms draws and multiplies its
@@ -58,19 +58,28 @@ class _Sample:
             raise ValueError("d must be positive")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray) -> np.ndarray:
-        return r
+    def _tail_entries(r: np.ndarray, kept: bool) -> np.ndarray:
+        """The tail's entries from its sum r, in an array of their own when r
+        is the kept tail."""
+        return r.astype(complex) if kept else r
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The matrix, built on first use: the block or shift * I, plus the
-        tail, whose factors are multiplied out as (u.T * x) @ w.conj()."""
-        m = self.block if self.block is not None else self.shift * np.eye(self.dim, dtype=complex)
+        """The matrix, built on first use in one d x d array: the tail, its
+        factors multiplied out as (u.T * x) @ w.conj(), then the block or the
+        shift on the diagonal added in place."""
+        d = self.dim
+        if self.tail is None:
+            return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
         if isinstance(self.tail, tuple):
             x, u, w = self.tail
-            m = m + self._tail_entries((u.T * x) @ w.conj())
-        elif self.tail is not None:
-            m = m + self._tail_entries(self.tail)
+            m = self._tail_entries((u.T * x) @ w.conj(), kept=False)
+        else:
+            m = self._tail_entries(self.tail, kept=True)
+        if self.block is not None:
+            m += self.block
+        else:
+            m[np.diag_indices(d)] += self.shift
         return m
 
     @property
@@ -114,8 +123,12 @@ class HermitianSample(_Sample):
             raise ValueError("a Hermitian tail needs w = u")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray) -> np.ndarray:
-        return (r + r.conj().T) / 2.0
+    def _tail_entries(r: np.ndarray, kept: bool) -> np.ndarray:
+        """(r + r^*) / 2, symmetrized in place in a new array."""
+        m = np.conjugate(r.T, out=np.empty(r.shape, dtype=complex))
+        m += r
+        m /= 2.0
+        return m
 
     def eigenvalues(self) -> np.ndarray:
         """From the n x n core when the sample is low rank, otherwise from a
@@ -242,39 +255,36 @@ def sample_P_compound_poisson(
     return HermitianSample(dim=d, tail=_rank_one_sum(rho, lam, d, as_generator(rng)))
 
 
-def default_inner_cut(t: LevyTriple) -> float:
-    """Half the smallest nonzero atom location of G: makes the decomposition
-    exact for atomic measures.  Falls back to 1.0 for a jump-free triple."""
-    locs = t.G.locations()
-    nonzero = np.abs(locs[locs != 0.0])
-    return float(nonzero.min()) / 2.0 if nonzero.size else 1.0
-
-
 @dataclass(frozen=True)
 class _Decomposition:
-    """Gaussian block (mean, variance) plus compound-Poisson tail."""
+    """Gaussian block (mean, variance) plus compound-Poisson tail beyond cut."""
 
     mean: float
     var: float
     tail: CompoundPoissonParams
     substituted_var: float  # variance absorbed from jumps inside the cut
+    cut: float
 
 
-def _decompose(t: LevyTriple, eps: float | None) -> _Decomposition:
-    if eps is None:
-        eps = default_inner_cut(t)
-    if eps <= 0:
+def _decompose(t: LevyTriple, cut: float | None) -> _Decomposition:
+    """The one split of a triple, for the samplers and the budget: the mass of
+    G at zero (levy.at_zero) is Gaussian, the jumps within the cut are
+    absorbed as a Gaussian with their first two cumulants (small-jump
+    substitution), and the rest is the tail.  The default cut, half the
+    smallest |u| off zero (1.0 without one), makes atomic triples exact."""
+    if cut is None:
+        locs = t.G.locations()
+        off = np.abs(locs[~at_zero(locs)])
+        cut = float(off.min()) / 2.0 if off.size else 1.0
+    if cut <= 0:
         raise ValueError("inner cut must be positive")
-    inner, tail = truncate(t, eps)  # by this module's name: perfbench/tracing.py wraps it
-    var0 = inner.G.mass_at(0.0)
-    # jumps inside (0, eps] are absorbed as a Gaussian with matched first and
-    # second cumulants (small-jump substitution)
+    inner, tail = truncate(t, cut)  # by this module's name: perfbench/tracing.py wraps it
     locs, ws = inner.G.locations(), inner.G.weights()
-    u, w = locs[locs != 0.0], ws[locs != 0.0]
-    sub_mean = running_sum(w * u)
+    jumps = ~at_zero(locs)
+    u, w = locs[jumps], ws[jumps]
     sub_var = running_sum(w * (1.0 + u * u))
-    mean = inner.gamma + sub_mean  # first cumulant of the inner triple
-    return _Decomposition(mean, var0 + sub_var, tail, sub_var)
+    mean = inner.gamma + running_sum(w * u)  # first cumulant of the inner triple
+    return _Decomposition(mean, running_sum(ws[~jumps]) + sub_var, tail, sub_var, cut)
 
 
 def _sample_composite(
@@ -309,8 +319,8 @@ def sample_P(
     Gaussian block (drift, Gaussian mass, substituted small jumps) and the
     compound-Poisson tail of the jumps beyond the cut.
 
-    Exact whenever no atom of G lies in (0, inner_cut]; the default cut is
-    below the smallest nonzero atom, so atomic triples are sampled exactly.
+    Exact whenever no atom of G off zero lies within inner_cut; the default
+    cut is below the smallest one, so atomic triples are sampled exactly.
     """
     return sample_P_many(t, d, rng, 1, inner_cut)[0]
 

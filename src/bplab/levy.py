@@ -42,6 +42,12 @@ _MERGE_TOL = 1e-12
 MAX_CAUCHY_NODES = 10**6
 
 
+def at_zero(u: np.ndarray) -> np.ndarray:
+    """Which locations count as 0, the Gaussian part of G: |u| <= 1e-12, the
+    width within which atoms merge."""
+    return np.abs(u) <= _MERGE_TOL
+
+
 def running_sum(x: np.ndarray) -> float:
     """0.0 + x[0] + x[1] + ..., left to right like a Python loop (np.sum
     adds pairwise, which rounds differently)."""
@@ -98,11 +104,6 @@ class FiniteMeasure:
     @property
     def total_mass(self) -> float:
         return running_sum(self._weights)
-
-    def mass_at(self, loc: float) -> float:
-        """Weight of the first atom within 1e-12 of loc, or 0."""
-        hit = np.flatnonzero(np.abs(self._locs - loc) <= _MERGE_TOL)
-        return float(self._weights[hit[0]]) if hit.size else 0.0
 
     def integrate(self, f) -> float:
         """Sum of f(u) * weight over atoms."""
@@ -218,12 +219,13 @@ def truncate(t: LevyTriple, cut: float) -> tuple[LevyTriple, CompoundPoissonPara
 
     Returns (inner, tail) with inner = (gamma + a, G restricted to the cut)
     and tail = (lam, rho, a); convolving inner with the tail's compound
-    Poisson triple reconstructs t atom-exactly.
+    Poisson triple reconstructs t atom-exactly.  An atom at zero (at_zero:
+    |u| <= 1e-12) is Gaussian mass and stays in inner at any cut.
     """
     if cut <= 0:
         raise ValueError("cut must be positive")
     u, w = t.G.locations(), t.G.weights()
-    out = np.abs(u) > cut
+    out = (np.abs(u) > cut) & ~at_zero(u)
     u_out, w_out = u[out], w[out]
     with np.errstate(all="ignore"):
         intensity = w_out * (1.0 + u_out * u_out) / (u_out * u_out)

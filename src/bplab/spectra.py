@@ -44,7 +44,7 @@ MAX_ENTRIES = 2**26
 # ask for: 2**39, one dense eigensolve at the largest dim that MAX_ENTRIES
 # admits (8192).  At the 4-5e9 multiply-adds a second that one x86-64 core
 # reached in eigvalsh and in the rank-one products, that is about two
-# minutes.  The cost model (cli._check_flops) counts d^3 for each spectrum,
+# minutes.  The cost model (cli._check_budget) counts d^3 for each spectrum,
 # k E[n] d^2 for each rank-one sum and a fixed cost per trial.
 MAX_FLOPS = 2**39
 

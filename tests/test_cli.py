@@ -258,6 +258,27 @@ def test_cli_sample_deterministic(capsys):
     assert np.max(np.abs(m - m.conj().T)) < 1e-10
 
 
+def test_cli_sample_odd_node_cauchy_at_the_default_cut(capsys):
+    # the middle node (1.1e-16) once set the default cut to 5.6e-17 and the
+    # tail intensity to 8.1e28, over the budget
+    spec = '{"preset":"cauchy","a":1,"nodes":1001}'
+    assert main(["sample", spec, "--dim", "20", "--model", "nonhermitian"]) == 0
+    m = json.loads(capsys.readouterr().out)
+    assert np.array(m["real"]).shape == (20, 20)
+
+
+@pytest.mark.parametrize("a, kmax", [(1e308, 4), (1e200, 2)])
+def test_cli_run_statistics_that_overflow_exit_2(tmp_path, capsys, a, kmax):
+    config = {"model": "hermitian", "triple": {"preset": "dirac", "a": a}, "dims": [3],
+              "trials_per_dim": 2,
+              "outputs": {"moments": {"kmax": kmax}, "histogram": {"bins": 3}}}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "triple" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_sample_nonhermitian_needs_symmetry(capsys):
     spec = json.dumps({"preset": "poisson", "lambda": 1.0})
     assert main(["sample", spec, "--dim", "3", "--model", "nonhermitian"]) == 2

@@ -7,7 +7,7 @@ from scipy import stats
 
 from bplab.hermitian import (
     HermitianSample,
-    default_inner_cut,
+    _decompose,
     sample_haar_unitary,
     sample_P,
     sample_P_compound_poisson,
@@ -16,7 +16,9 @@ from bplab.hermitian import (
     sample_P_scalars,
     sample_Q,
 )
-from bplab.levy import FiniteMeasure, LevyTriple, convolve, dirac, gaussian, poisson
+from bplab.levy import (FiniteMeasure, LevyTriple, cauchy, compound_poisson_triple, convolve,
+                        dirac, gaussian, poisson, truncate)
+from bplab.nonhermitian import ComplexMatrixSample
 from bplab.rng import RngStream, standard_complex_normal
 from oracles import ks_continuous, ks_integer
 
@@ -111,11 +113,9 @@ def test_scalar_path_and_matrix_path_agree_at_dimension_one():
 
 def test_composite_draw_order_is_gaussian_block_then_rank_ones():
     # gaussian plus a poisson tail; one generator serves both blocks, in turn
-    from bplab.hermitian import _decompose
-
     t = convolve(gaussian(0.3, 0.5), poisson(0.8))
     d = 5
-    dec = _decompose(t, default_inner_cut(t))
+    dec = _decompose(t, None)
     rho = dec.tail.rho
     gen = RngStream(12, 0).generator()
     expected, tails = [], []
@@ -134,10 +134,34 @@ def test_dirac_triple_gives_constant_matrix():
 
 
 def test_default_inner_cut():
-    assert default_inner_cut(poisson(1.0)) == pytest.approx(0.5)
-    assert default_inner_cut(gaussian(0, 1)) == 1.0
+    assert _decompose(poisson(1.0), None).cut == pytest.approx(0.5)
+    assert _decompose(gaussian(0, 1), None).cut == 1.0
     t = LevyTriple(0.0, FiniteMeasure(((0.0, 1.0), (0.2, 0.1), (-3.0, 0.2))))
-    assert default_inner_cut(t) == pytest.approx(0.1)
+    assert _decompose(t, None).cut == pytest.approx(0.1)
+
+
+def test_odd_node_cauchy_counts_its_middle_node_once():
+    # the middle node of an odd count lands at tan(mid) = 1.1e-16, not 0.0:
+    # it is Gaussian mass, and not a small jump as well
+    t = cauchy(1.0, 1001)
+    u, w = t.G.locations(), t.G.weights()
+    assert 0.0 < np.abs(u).min() <= 1e-12
+    inside = np.abs(u) <= 0.05
+    want = float(np.sum(w[inside] * (1.0 + u[inside] ** 2)))
+    assert _decompose(t, 0.05).var == pytest.approx(want, rel=1e-12)
+    assert want == pytest.approx(0.0309737, abs=1e-7)
+
+
+def test_odd_node_cauchy_default_cut_reconstructs_the_triple():
+    # half the smallest |u| off zero, not half the middle node's 1.1e-16
+    t = cauchy(1.0, 1001)
+    dec = _decompose(t, None)
+    assert dec.cut == pytest.approx(0.00156823, abs=1e-8)
+    inner, tail = truncate(t, dec.cut)
+    back = convolve(inner, compound_poisson_triple(tail.rho, tail.lam))
+    assert back.gamma == pytest.approx(t.gamma, abs=1e-12)
+    assert np.array_equal(back.G.locations(), t.G.locations())
+    assert np.allclose(back.G.weights(), t.G.weights(), rtol=0.0, atol=1e-12)
 
 
 def test_small_jump_substitution_matches_first_two_cumulants():
@@ -145,7 +169,6 @@ def test_small_jump_substitution_matches_first_two_cumulants():
     # triple's first two cumulants
     t = LevyTriple(0.3, FiniteMeasure(((0.1, 0.2), (-0.2, 0.1))))
     from bplab.levy import cumulants_from_triple
-    from bplab.hermitian import _decompose
 
     dec = _decompose(t, 1.0)
     c = cumulants_from_triple(t, 2)
@@ -206,3 +229,24 @@ def test_gaussian_case_peaks_at_a_few_matrices():
     finally:
         tracemalloc.stop()
     assert peak < 2.75 * m.nbytes
+
+
+@pytest.mark.parametrize("model", ["hermitian", "nonhermitian"])
+def test_tail_only_entries_are_built_in_one_matrix(model):
+    # the tail's d x d sum is symmetrized (P), shifted and copied in place:
+    # one d x d array beyond the parts, where building it out of place took
+    # 3.1 of them for P and 2.0 for L
+    d = 300
+    gen = RngStream(4, 0).generator()
+    r = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    sample = (HermitianSample(dim=d, shift=0.7, tail=r) if model == "hermitian"
+              else ComplexMatrixSample(dim=d, tail=r))
+    tracemalloc.start()
+    try:
+        m = sample.entries
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * r.nbytes
+    want = 0.7 * np.eye(d) + (r + r.conj().T) / 2.0 if model == "hermitian" else r
+    assert np.array_equal(m, want) and m is not r

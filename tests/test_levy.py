@@ -4,11 +4,13 @@ import time
 import numpy as np
 import pytest
 
+from bplab.hermitian import _decompose
 from bplab.levy import (
     MAX_CAUCHY_NODES,
     CompoundPoissonParams,
     FiniteMeasure,
     LevyTriple,
+    at_zero,
     cauchy,
     compound_poisson_triple,
     convolve,
@@ -33,8 +35,8 @@ def test_measure_merges_and_sorts():
     g = FiniteMeasure(((2.0, 0.5), (-1.0, 1.0), (2.0, 0.25)))
     assert g.atoms == ((-1.0, 1.0), (2.0, 0.75))
     assert g.total_mass == pytest.approx(1.75)
-    assert g.mass_at(2.0) == pytest.approx(0.75)
-    assert g.mass_at(5.0) == 0.0
+    assert g.locations().tolist() == [-1.0, 2.0]
+    assert g.weights()[1] == pytest.approx(0.75)
     for arr in (g.locations(), g.weights()):  # stored once, read-only
         with pytest.raises(ValueError):
             arr[0] = 0.0
@@ -267,12 +269,36 @@ def test_truncation_rejects_nonpositive_cut():
         truncate(gaussian(0, 1), 0.0)
 
 
-@pytest.mark.parametrize("loc", [1e200, -1e200, 1e-200, -1e-170])
+@pytest.mark.parametrize("loc", [1e200, -1e200])
 def test_truncation_rejects_an_intensity_that_overflows(loc):
-    # u^2 overflows or underflows, so w (1 + u^2) / u^2 is nan or inf
+    # u^2 overflows, so w (1 + u^2) / u^2 is nan
     t = LevyTriple(0.0, FiniteMeasure(((loc, 1.0),)))
     with pytest.raises(ValueError, match="overflows"):
         truncate(t, abs(loc) / 2)
+
+
+@pytest.mark.parametrize("loc", [1e-200, -1e-170])
+def test_an_atom_at_zero_is_gaussian_mass_at_any_cut(loc):
+    # |u| <= 1e-12 is at zero, so the atom is never a jump, and its intensity
+    # w (1 + u^2) / u^2, which would overflow, is never formed
+    t = LevyTriple(0.0, FiniteMeasure(((loc, 1.0),)))
+    for cut in (abs(loc) / 2, 1e-12, 1.0, None):
+        if cut is not None:
+            inner, tail = truncate(t, cut)
+            assert tail.lam == 0.0 and inner.G.atoms == t.G.atoms
+        dec = _decompose(t, cut)
+        assert dec.tail.lam == 0.0 and dec.var == 1.0 and dec.substituted_var == 0.0
+
+
+def test_at_zero_is_the_merge_width():
+    assert at_zero(np.array([0.0, -0.0, 1e-12, -1e-12, 1e-300])).all()
+    assert not at_zero(np.array([1.5e-12, -2e-12, 1e-6])).any()
+    # an atom at 1e-12 stays inner even at a smaller cut; one at 3e-12 is a jump
+    t = LevyTriple(0.0, FiniteMeasure(((1e-12, 0.5), (3e-12, 1e-30))))
+    inner, tail = truncate(t, 1e-13)
+    assert inner.G.atoms == ((1e-12, 0.5),) and tail.rho.atoms[0][0] == 3e-12
+    dec = _decompose(t, None)
+    assert dec.cut == 1.5e-12 and dec.var == 0.5 and dec.tail.lam > 0
 
 
 def test_compound_poisson_params_validation():
