@@ -59,6 +59,9 @@ def standard_complex_normal(gen: np.random.Generator, size, out=None) -> np.ndar
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
     if out is None:
         out = np.empty(shape, dtype=complex)
-    gen.standard_normal(out=out.view(float).reshape(shape + (2,)))
-    out /= np.sqrt(2.0)
+    parts = out.view(float).reshape(shape + (2,))
+    gen.standard_normal(out=parts)
+    # numpy divides a complex by a real c as a multiply by 1 / c, so scaling
+    # the (re, im) view by 1 / c gives the same bits without the complex loop
+    parts *= 1.0 / np.sqrt(2.0)
     return out

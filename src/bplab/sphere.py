@@ -39,7 +39,9 @@ def sample_sphere_vectors(
         raise ValueError("d must be positive")
     gen = as_generator(rng)
     z = standard_complex_normal(gen, (n, d), out)
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal)
+    parts = z.view(float)
+    parts *= 1.0 / np.linalg.norm(z, axis=1, keepdims=True)
     return z
 
 

@@ -7,6 +7,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bplab.cli import main
 from bplab.hermitian import HermitianSample, _decompose, _draw_jumps, sample_P_many
@@ -110,7 +111,9 @@ SHAPES = [(2, 0), (2, 1), (2, 2), (2, 5), (50, 0), (50, 17), (50, 49), (50, 50),
 
 
 @pytest.mark.parametrize("d, n", SHAPES)
-@pytest.mark.parametrize("jumps, shift", [([1.0], -0.25), ([-2.5, -1.0, 1.0, 2.5], 0.7)])
+@pytest.mark.parametrize(
+    "jumps, shift", [([1.0], -0.25), ([-2.5, -1.0, 1.0, 2.5], 0.7), ([-2.0, -0.5], 0.3)]
+)
 def test_eigenvalues_agree_with_the_dense_eigensolve(d, n, jumps, shift):
     gen = RngStream(21, 1000 * d + n).generator()
     sample = HermitianSample(dim=d, shift=shift, tail=_tail(d, n, jumps, gen, False))
@@ -131,15 +134,63 @@ def test_singular_values_agree_with_the_dense_path(d, n):
     # leaves null singular values of about 1e-8 s_max, where the core gives
     # exact zeros
     gen = RngStream(22, 1000 * d + n).generator()
-    sample = ComplexMatrixSample(dim=d, tail=_tail(d, n, [-2.5, -1.0, 1.0, 2.5], gen, True))
-    dense = ComplexMatrixSample(sample.entries)
-    assert sample.low_rank == (n < d) and not dense.low_rank
-    want = np.sort(singular_values(dense)) ** 2
-    got = np.sort(singular_values(sample))
-    assert got.size == d and np.count_nonzero(got[: max(d - n, 0)]) == 0
-    assert np.max(np.abs(got**2 - want)) <= 1e-12 * max(np.max(want), 1e-300)
-    if n >= d:
-        assert np.array_equal(got**2, want)
+    for jumps in ([-2.5, -1.0, 1.0, 2.5], [0.5, 2.0]):  # mixed, then one-signed
+        sample = ComplexMatrixSample(dim=d, tail=_tail(d, n, jumps, gen, True))
+        dense = ComplexMatrixSample(sample.entries)
+        assert sample.low_rank == (n < d) and not dense.low_rank
+        want = np.sort(singular_values(dense)) ** 2
+        got = np.sort(singular_values(sample))
+        assert got.size == d and np.count_nonzero(got[: max(d - n, 0)]) == 0
+        assert np.max(np.abs(got**2 - want)) <= 1e-12 * max(np.max(want), 1e-300)
+        if n >= d:
+            assert np.array_equal(got**2, want)
+
+
+@pytest.mark.parametrize("pairs", [False, True])
+def test_a_singular_gram_takes_the_dense_solve(pairs):
+    # a zero row makes u u^* singular, so its Cholesky fails: the spectrum is
+    # the dense solve of the entries, bit for bit
+    d, n = 30, 12
+    gen = RngStream(25, int(pairs)).generator()
+    _, u, w = _tail(d, n, [1.0], gen, pairs)
+    u[5] = 0.0
+    x = np.resize([1.0, -2.5], n)
+    if pairs:
+        sample = ComplexMatrixSample(dim=d, tail=(x, u, w))
+        assert sample.low_rank
+        want = np.linalg.svd(sample.entries, compute_uv=False)
+        assert np.array_equal(singular_values(sample), want)
+    else:
+        sample = HermitianSample(dim=d, shift=0.4, tail=(x, u, u))
+        assert sample.low_rank
+        assert np.array_equal(sample.eigenvalues(), np.linalg.eigvalsh(sample.entries))
+
+
+@settings(deadline=None)
+@given(
+    st.integers(2, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
+    st.sampled_from(["positive", "negative", "mixed"]),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, seed):
+    d, n = shape
+    gen = RngStream(seed, 26).generator()
+    x = gen.uniform(0.01, 10.0, n)
+    if signs == "negative":
+        x = -x
+    elif signs == "mixed":
+        x *= gen.choice([-1.0, 1.0], n)
+    _, u, w = _tail(d, n, [1.0], gen, pairs)
+    if pairs:  # squared singular values (test_singular_values_agree_with_the_dense_path)
+        sample = ComplexMatrixSample(dim=d, tail=(x, u, w))
+        got, want = (np.sort(singular_values(m)) ** 2
+                     for m in (sample, ComplexMatrixSample(sample.entries)))
+    else:
+        sample = HermitianSample(dim=d, shift=gen.uniform(-1.0, 1.0), tail=(x, u, u))
+        got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(sample.entries)
+    assert sample.low_rank and got.size == d
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("d", [2, 50, 400])
