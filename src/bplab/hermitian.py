@@ -85,8 +85,8 @@ class _Sample:
     @property
     def low_rank(self) -> bool:
         """No dense block and fewer rank-one terms than the dimension: the
-        spectrum comes from core_spectrum, an n x n problem built from the
-        rows' Gram matrices, in place of a d x d one."""
+        spectrum comes from core_spectrum, an n x n problem in place of a
+        d x d one."""
         return self.block is None and (
             self.tail is None or isinstance(self.tail, tuple) and self.tail[0].size < self.dim
         )
@@ -97,14 +97,11 @@ class _Sample:
         shift.  With eigvalsh (w = u) these are the eigenvalues of the sample,
         with singular values its singular values.
 
-        The core comes from n x n Gram matrices of the rows, not from the
-        d x n factors.  A Hermitian tail whose jumps share one sign s is
-        s V^* V with V = (sqrt|x_k| u_k)_k, so C = s V V^*: no factorization.
-        Any other tail takes the Cholesky factors u u^* = L_u L_u^* (and
-        w w^* = L_w L_w^*), and C = L_u^* diag(x) L_w: the core of the thin
-        QRs u.T = Q R, up to a conjugation and a unitary similarity (R = L^T
-        up to row phases).  When a Gram matrix is singular (rows linearly
-        dependent) the Cholesky fails, and the entries are solved densely."""
+        A Hermitian tail whose jumps share one sign s is s V^* V with
+        V = (sqrt|x_k| u_k)_k, so C = s V V^*, from the n x n Gram matrix of
+        the scaled rows: no factorization.  Any other tail takes
+        C = R_u diag(x) R_w^* from the thin QRs u.T = Q_u R_u and
+        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*."""
         values = np.zeros(self.dim)
         if self.tail is not None and self.tail[0].size:
             x, u, w = self.tail
@@ -114,12 +111,9 @@ class _Sample:
                 if x.max() <= 0.0:
                     np.negative(core, out=core)
             else:
-                try:
-                    l_u = np.linalg.cholesky(u @ u.conj().T)
-                    l_w = l_u if w is u else np.linalg.cholesky(w @ w.conj().T)
-                except np.linalg.LinAlgError:
-                    return solve(self.entries)
-                core = (l_u.conj().T * x) @ l_w
+                r_u = np.linalg.qr(u.T, mode="r")
+                r_w = r_u if w is u else np.linalg.qr(w.T, mode="r")
+                core = (r_u * x) @ r_w.conj().T
             values[: x.size] = solve(core)
         return values + self.shift
 
