@@ -265,11 +265,12 @@ def _aggregate(values: np.ndarray) -> tuple[float, float]:
 def _trial_law(config: ExperimentConfig, d: int, trial: int):
     rng = RngStream(config.seed, trial)
     # one sample_*_many call per trial, by this module's names: perfbench/tracing.py
-    # times it as the per-trial sample, so the decomposition is not hoisted out
+    # times it as the per-trial sample, so the decomposition is not hoisted out.
+    # Only spectra are used, so low-rank tails are drawn in their own basis.
     if config.model == "hermitian":
-        sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut)[0]
+        sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut, own_basis=True)[0]
         return esd(sample)
-    sample = sample_L_many(config.triple, d, rng, 1, config.inner_cut)[0]
+    sample = sample_L_many(config.triple, d, rng, 1, config.inner_cut, own_basis=True)[0]
     return symmetrized_singular_law(sample)
 
 

@@ -41,7 +41,9 @@ class _Sample:
     or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*.
     The tail is kept as its factors (x, u, w), the u_k and w_k being the rows
     of u and w, or as the d x d sum itself (see _rank_one_terms).  `entries`
-    builds the matrix; `core_spectrum` avoids it."""
+    builds the matrix; `core_spectrum` avoids it.  Factors of n < d rows with
+    n columns, not d, are rows in their own basis (sphere.sample_sphere_vectors):
+    they fix the spectrum, but not the entries."""
 
     block: np.ndarray | None = None
     dim: int | None = None
@@ -69,6 +71,8 @@ class _Sample:
         factors multiplied out as (u.T * x) @ w.conj(), then the block or the
         shift on the diagonal added in place."""
         d = self.dim
+        if self.own_basis:
+            raise ValueError("a tail drawn in its own basis has a spectrum but no entries")
         if self.tail is None:
             return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
         if isinstance(self.tail, tuple):
@@ -81,6 +85,11 @@ class _Sample:
         else:
             m[np.diag_indices(d)] += self.shift
         return m
+
+    @property
+    def own_basis(self) -> bool:
+        """The tail's rows are given in their own n-dimensional span."""
+        return isinstance(self.tail, tuple) and self.tail[1].shape[1] != self.dim
 
     @property
     def low_rank(self) -> bool:
@@ -101,18 +110,20 @@ class _Sample:
         V = (sqrt|x_k| u_k)_k, so C = s V V^*, from the n x n Gram matrix of
         the scaled rows: no factorization.  Any other tail takes
         C = R_u diag(x) R_w^* from the thin QRs u.T = Q_u R_u and
-        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*."""
+        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*.  Rows in their own
+        basis are those R^T already: C = (u.T * x) @ w.conj()."""
         values = np.zeros(self.dim)
         if self.tail is not None and self.tail[0].size:
             x, u, w = self.tail
-            if w is u and (x.min() >= 0.0 or x.max() <= 0.0):
+            own = self.own_basis
+            if w is u and not own and (x.min() >= 0.0 or x.max() <= 0.0):
                 v = np.sqrt(np.abs(x))[:, None] * u
                 core = v @ v.conj().T
                 if x.max() <= 0.0:
                     np.negative(core, out=core)
             else:
-                r_u = np.linalg.qr(u.T, mode="r")
-                r_w = r_u if w is u else np.linalg.qr(w.T, mode="r")
+                r_u = u.T if own else np.linalg.qr(u.T, mode="r")
+                r_w = r_u if w is u else w.T if own else np.linalg.qr(w.T, mode="r")
                 core = (r_u * x) @ r_w.conj().T
             values[: x.size] = solve(core)
         return values + self.shift
@@ -219,7 +230,8 @@ def _draw_jumps(rho: FiniteMeasure, gen: np.random.Generator, n: int) -> np.ndar
     return gen.choice(rho.locations(), size=n, p=ws / ws.sum())
 
 
-def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
+def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False,
+                  own_basis=False):
     """The tail over a Poisson(d * lam) count n of jumps x_k ~ rho: all n
     jumps are drawn first, then the rows of their terms (_rank_one_terms)."""
     if lam < 0:
@@ -228,18 +240,24 @@ def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False):
     if n == 0:
         u = np.zeros((0, d), dtype=complex)
         return np.zeros(0), u, u
-    return _rank_one_terms(_draw_jumps(rho, gen, n), d, gen, pairs)
+    return _rank_one_terms(_draw_jumps(rho, gen, n), d, gen, pairs, own_basis)
 
 
-def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False):
+def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, own_basis=False):
     """The tail sum_k x_k u_k w_k^* over the n = x.size jumps x and sphere
     rows u_k; w is u, or with pairs the independent rows w_k, each drawn
-    right after its u_k.  For n < d the factors (x, u, w) are returned.
+    right after its u_k.  For n < d the factors (x, u, w) are returned; with
+    own_basis, all the u_k and then all the w_k are drawn, each set in its
+    own basis (sphere.sample_sphere_vectors): n x n factors, the law of the
+    spectrum unchanged.
     Otherwise the rows are drawn BLOCK jumps at a time, into one buffer, and
     their products summed into one d x d array: the rows are the same bits in
     any chunking (rng.py), and only O(d^2 + BLOCK d) entries are held."""
     n = x.size
     k = 2 if pairs else 1
+    if n < d and own_basis:
+        u = sample_sphere_vectors(d, n, gen, own_basis=True)
+        return x, u, (sample_sphere_vectors(d, n, gen, own_basis=True) if pairs else u)
     if n < d:
         rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
         u = rows[:, 0]
@@ -259,12 +277,15 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False):
 
 
 def sample_P_compound_poisson(
-    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator
+    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator,
+    own_basis: bool = False,
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     sphere projections, M = sum_k x_k u_k u_k^* with x_k ~ rho, kept as its
-    factors or as their sum (_rank_one_sum)."""
-    return HermitianSample(dim=d, tail=_rank_one_sum(rho, lam, d, as_generator(rng)))
+    factors (in their own basis with own_basis, when n < d) or as their sum
+    (_rank_one_sum)."""
+    tail = _rank_one_sum(rho, lam, d, as_generator(rng), own_basis=own_basis)
+    return HermitianSample(dim=d, tail=tail)
 
 
 @dataclass(frozen=True)
@@ -300,11 +321,14 @@ def _decompose(t: LevyTriple, cut: float | None) -> _Decomposition:
 
 
 def _sample_composite(
-    t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one
+    t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one,
+    own_basis=False,
 ) -> list:
     """The composite sampler of both models: per sample, the sample
     gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
     factors of rank_one(rho, lam, d, gen), all drawn from one generator.
+    With own_basis, a sample without a dense block draws its tail in its own
+    basis; one with a block keeps the standard rows, as its entries need them.
     Callers pass the blocks by their module-level names, looked up per call,
     so wrappers installed on those names (perfbench/tracing.py) are the ones
     run."""
@@ -316,7 +340,8 @@ def _sample_composite(
     for _ in range(n_samples):
         s = gaussian_block(dec.mean, dec.var, d, gen)
         if dec.tail.lam > 0:
-            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen).tail)
+            own = own_basis and s.block is None
+            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen, own_basis=own).tail)
         out.append(s)
     return out
 
@@ -343,14 +368,17 @@ def sample_P_many(
     rng: RngStream | np.random.Generator,
     n_samples: int,
     inner_cut: float | None = None,
+    own_basis: bool = False,
 ) -> list[HermitianSample]:
-    """Batch variant of sample_P; the truncation decomposition is computed once."""
+    """Batch variant of sample_P; the truncation decomposition is computed
+    once.  With own_basis, a sample with no Gaussian block and n < d
+    rank-one terms draws them in their own basis (_sample_composite): its
+    spectrum has the same law, but it has no entries."""
     if d == 1:
         xs = sample_P_scalars(t, rng, n_samples, inner_cut)
         return [HermitianSample(np.array([[x]], dtype=complex)) for x in xs]
-    return _sample_composite(
-        t, d, rng, n_samples, inner_cut, sample_P_gaussian, sample_P_compound_poisson
-    )
+    return _sample_composite(t, d, rng, n_samples, inner_cut, sample_P_gaussian,
+                             sample_P_compound_poisson, own_basis)
 
 
 def sample_P_scalars(

@@ -64,13 +64,15 @@ def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
 
 
 def sample_L_compound_poisson(
-    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator
+    rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator,
+    own_basis: bool = False,
 ) -> ComplexMatrixSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     outer products x u v^* with x ~ rho and independent sphere vectors u, v,
-    kept as their factors or as their sum (hermitian._rank_one_sum).  The
+    kept as their factors (with own_basis and n < d, the u-set and the v-set
+    each in its own basis) or as their sum (hermitian._rank_one_sum).  The
     model needs a symmetric law; sample_L_many checks that on the triple."""
-    tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True)
+    tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True, own_basis=own_basis)
     return ComplexMatrixSample(dim=d, tail=tail)
 
 
@@ -92,13 +94,15 @@ def sample_L_many(
     rng: RngStream | np.random.Generator,
     n_samples: int,
     inner_cut: float | None = None,
+    own_basis: bool = False,
 ) -> list[ComplexMatrixSample]:
-    """Batch variant of sample_L; the decomposition is computed once."""
+    """Batch variant of sample_L; the decomposition is computed once.  With
+    own_basis, as in sample_P_many, low-rank samples keep the law of their
+    singular values but have no entries."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
-    return _sample_composite(
-        t, d, rng, n_samples, inner_cut, _ginibre_block, sample_L_compound_poisson
-    )
+    return _sample_composite(t, d, rng, n_samples, inner_cut, _ginibre_block,
+                             sample_L_compound_poisson, own_basis)
 
 
 def singular_values(M: ComplexMatrixSample) -> np.ndarray:

@@ -30,15 +30,37 @@ DEGENERACY_TOL = 1e-8
 
 
 def sample_sphere_vectors(
-    d: int, n: int, rng: RngStream | np.random.Generator, out=None
+    d: int, n: int, rng: RngStream | np.random.Generator, out=None, own_basis: bool = False
 ) -> np.ndarray:
     """n uniform sphere vectors as the rows of an (n, d) complex array, or of
     `out` when it is given: each a standard complex Gaussian vector,
-    renormalized."""
+    renormalized.
+
+    With own_basis, the rows come in their own basis, the orthonormal one
+    that Gram-Schmidt builds from them in order: an (n, min(n, d)) lower
+    trapezoidal array with a real positive diagonal.  By the complex Bartlett
+    decomposition (Dumitriu and Edelman, J. Math. Phys. 2002), an n x d
+    standard complex Gaussian matrix is T Q with Q unitary and T lower
+    trapezoidal, T_kj ~ CN(0, 1) below the diagonal and |T_kk|^2 ~ Gamma(d - k)
+    on it (k counted from 0), all independent.  So the rows of T,
+    renormalized, are the coordinates of uniform rows: for n <= d, drawn
+    from n (n - 1) / 2 complex normals and n Gamma variates in place of n d
+    complex normals.  Only what a unitary of C^d leaves alone is kept: the
+    spectrum of sum_k x_k u_k u_k^*, for one."""
     if d < 1:
         raise ValueError("d must be positive")
     gen = as_generator(rng)
-    z = standard_complex_normal(gen, (n, d), out)
+    if own_basis:
+        if out is not None:
+            raise ValueError("own-basis rows are drawn into an array of their own")
+        m = min(n, d)
+        below = np.tri(n, m, -1, dtype=bool)
+        z = np.zeros((n, m), dtype=complex)
+        z[below] = standard_complex_normal(gen, np.count_nonzero(below))
+        diag = np.arange(m)
+        z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
+    else:
+        z = standard_complex_normal(gen, (n, d), out)
     # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal)
     parts = z.view(float)
     parts *= 1.0 / np.linalg.norm(z, axis=1, keepdims=True)

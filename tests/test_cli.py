@@ -15,9 +15,11 @@ import pytest
 
 import bplab
 from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_experiment, run
-from bplab.hermitian import BLOCK
+from bplab.hermitian import BLOCK, sample_P_many
+from bplab.nonhermitian import sample_L_many, symmetrized_singular_law
 from bplab.rng import RngStream
-from bplab.spectra import MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, psi_image_moments
+from bplab.spectra import (MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, empirical_moments, esd,
+                           psi_image_moments)
 from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
 from bplab.sphere import sample_sphere_vectors
 
@@ -151,6 +153,41 @@ def test_run_agrees_across_blas_thread_counts(tmp_path):
                            rtol=rtol, atol=atol, equal_nan=True), (a, b)
     centres = [np.array(r["histograms"]["200"])[:, 0] for r in reports]
     assert np.allclose(centres[0], centres[1], rtol=1e-12, atol=0.0)
+
+
+# Triples whose tails have intensity 0.5, so n ~ Poisson(25) < d = 50 terms:
+# with Gaussian mass 0.5 (a block plus a low-rank tail, which keeps the
+# standard rows) and without (a low-rank sample, drawn in its own basis)
+LOW_RANK_RUNS = [
+    ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}, False),
+    ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]}, False),
+    ("hermitian", {"preset": "poisson", "lambda": 0.5}, True),
+    ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.125], [-1, 0.125]]}, True),
+]
+
+
+@pytest.mark.parametrize("model, spec, own_basis", LOW_RANK_RUNS,
+                         ids=["block-P", "block-L", "low-rank-P", "low-rank-L"])
+def test_run_rows_are_the_samplers_spectra(model, spec, own_basis):
+    d, trials = 50, 3
+    doc = config(model=model, triple=spec, dims=[d], trials_per_dim=trials,
+                 outputs={"moments": {"kmax": 4}})
+    report = run(ExperimentConfig.from_dict(doc))
+    triple = triple_from_spec(spec)
+    per_trial = []
+    for t in range(trials):
+        rng = RngStream(doc["seed"], t)
+        if model == "hermitian":
+            sample = sample_P_many(triple, d, rng, 1, own_basis=own_basis)[0]
+            law = esd(sample)
+        else:
+            sample = sample_L_many(triple, d, rng, 1, own_basis=own_basis)[0]
+            law = symmetrized_singular_law(sample)
+        assert isinstance(sample.tail, tuple) and 0 < sample.tail[0].size < d
+        assert (sample.block is None) == own_basis == sample.own_basis
+        per_trial.append(empirical_moments(law, 4).values)
+    want = np.mean(per_trial, axis=0)
+    assert [r["mean"] for r in report.rows] == [float(m) for m in want]
 
 
 def test_histogram_and_distance_outputs():

@@ -10,15 +10,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bplab.cli import main
-from bplab.hermitian import HermitianSample, _decompose, _draw_jumps, sample_P_many
+from bplab.hermitian import (HermitianSample, _decompose, _draw_jumps, _rank_one_terms,
+                             sample_P_many)
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
 from bplab.nonhermitian import ComplexMatrixSample, sample_L_many, singular_values
-from bplab.rng import RngStream
+from bplab.rng import RngStream, standard_complex_normal
 from bplab.spectra import esd
 from bplab.sphere import sample_sphere_vectors
 
 MIXED = LevyTriple(0.0, FiniteMeasure(((1.0, 0.3), (-1.0, 0.3), (2.5, 0.1), (-2.5, 0.1))))
 MIXED_SPEC = {"gamma": 0, "atoms": [[1, 0.3], [-1, 0.3], [2.5, 0.1], [-2.5, 0.1]]}
+
+def _symmetric(gauss, w):
+    """Gaussian mass gauss and jumps at +-1 of tail intensity 4 w."""
+    return LevyTriple(0.0, FiniteMeasure(((0.0, gauss), (1.0, w), (-1.0, w))))
 
 # SHA-256 of the entries' bytes, recorded (numpy 2.4.6, scipy-openblas 0.3.31,
 # x86-64) with the samplers that multiplied the rank-one sum out as they drew it.
@@ -183,3 +188,86 @@ def test_sampled_spectra_agree_with_the_dense_path(d):
         want = np.sort(singular_values(ComplexMatrixSample(q.entries))) ** 2
         got = np.sort(singular_values(q)) ** 2
         assert np.max(np.abs(got - want)) <= 1e-12 * max(np.max(want), 1e-300)
+
+
+# ---------------------------------------------------------------------------
+# tails drawn in their own basis
+
+
+def _isometry(d, n, gen):
+    """An n x d matrix with orthonormal rows: embeds C^n into C^d."""
+    return np.linalg.qr(standard_complex_normal(gen, (d, n)))[0].T
+
+
+@pytest.mark.parametrize("d, n", [(2, 1), (50, 1), (50, 17), (50, 49), (400, 200)])
+@pytest.mark.parametrize("jumps", [[1.0], [-2.0, -0.5], [-2.5, -1.0, 1.0, 2.5]])
+def test_own_basis_spectra_are_those_of_the_embedded_rows(d, n, jumps):
+    gen = RngStream(42, 1000 * d + n).generator()
+    x = gen.choice(jumps, size=n)
+    own_u, own_w = (sample_sphere_vectors(d, n, gen, own_basis=True) for _ in range(2))
+    u, w = own_u @ _isometry(d, n, gen), own_w @ _isometry(d, n, gen)
+    own = HermitianSample(dim=d, shift=0.3, tail=(x, own_u, own_u))
+    assert own.own_basis and own.low_rank
+    got = own.eigenvalues()
+    want = HermitianSample(dim=d, shift=0.3, tail=(x, u, u)).eigenvalues()
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got = singular_values(ComplexMatrixSample(dim=d, tail=(x, own_u, own_w)))
+    want = singular_values(ComplexMatrixSample(dim=d, tail=(x, u, w)))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+def _spectral_moments(x, d, gen, pairs, own_basis):
+    """Moments 2-4 of the eigenvalues of a P tail (its first is sum(x) / d
+    for any rows), or moments 1-3 of the squared singular values of an L
+    tail."""
+    tail = _rank_one_terms(x, d, gen, pairs, own_basis)
+    if pairs:
+        s2 = singular_values(ComplexMatrixSample(dim=d, tail=tail)) ** 2
+        return [np.mean(s2**k) for k in (1, 2, 3)]
+    eigs = HermitianSample(dim=d, tail=tail).eigenvalues()
+    return [np.mean(eigs**k) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize(
+    "jumps, pairs",
+    [([0.5, 2.0], False), ([-2.5, -1.0, 1.0, 2.5], False), ([0.5, 2.0], True),
+     ([-2.5, -1.0, 1.0, 2.5], True)],
+    ids=["one-sign-P", "mixed-sign-P", "one-sign-L", "mixed-sign-L"],
+)
+def test_own_basis_spectra_have_the_law_of_standard_rows(jumps, pairs):
+    # the same jumps with own-basis and with standard rows, trial by trial:
+    # the mean difference of each moment is zero within 4 standard errors
+    d, n, trials = 10, 7, 3000
+    gen = RngStream(43, len(jumps) + 10 * pairs).generator()
+    diffs = []
+    for _ in range(trials):
+        x = gen.choice(jumps, size=n)
+        diffs.append(np.subtract(_spectral_moments(x, d, gen, pairs, True),
+                                 _spectral_moments(x, d, gen, pairs, False)))
+    diffs = np.array(diffs)
+    stderr = diffs.std(axis=0, ddof=1) / np.sqrt(trials)
+    assert np.all(np.abs(diffs.mean(axis=0)) <= 4.0 * stderr)
+
+
+def test_own_basis_samples_have_no_entries():
+    p = sample_P_many(poisson(0.5), 60, RngStream(5, 0), 1, own_basis=True)[0]
+    q = sample_L_many(_symmetric(0.0, 0.125), 60, RngStream(5, 0), 1, own_basis=True)[0]
+    for sample in (p, q):
+        assert sample.own_basis and sample.low_rank
+        with pytest.raises(ValueError, match="own basis"):
+            sample.entries
+
+
+@pytest.mark.parametrize(
+    "triple, d",
+    [(_symmetric(0.5, 0.125), 50),  # a block and n < d: the standard rows
+     (_symmetric(0.0, 0.75), 20),  # n >= d: the blocked sum
+     (_symmetric(0.0, 0.125), 1)],  # d = 1
+)
+def test_own_basis_leaves_other_samples_alone(triple, d):
+    for many in (sample_P_many, sample_L_many):
+        for t in range(3):
+            got = many(triple, d, RngStream(44, t), 1, own_basis=True)[0]
+            want = many(triple, d, RngStream(44, t), 1)[0]
+            assert not got.own_basis
+            assert got.entries.tobytes() == want.entries.tobytes()

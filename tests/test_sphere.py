@@ -27,6 +27,44 @@ def test_batched_vectors_are_unit_norm():
     assert np.allclose(np.sum(np.abs(u) ** 2, axis=1), 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, n", [(1, 1), (1, 3), (5, 0), (5, 1), (5, 3), (5, 5), (5, 8),
+                                  (50, 20), (50, 49)])
+def test_own_basis_rows_are_unit_lower_trapezoidal(d, n):
+    u = sample_sphere_vectors(d, n, RngStream(0, 3 + 100 * d + n), own_basis=True)
+    m = min(n, d)
+    assert u.shape == (n, m)
+    assert np.allclose(np.linalg.norm(u, axis=1), 1.0, rtol=0.0, atol=1e-14)
+    assert not np.any(np.triu(u, 1))
+    diag = np.diagonal(u)
+    assert not np.any(diag.imag) and np.all(diag.real > 0.0)
+    if n:
+        assert abs(u[0, 0] - 1.0) <= 1e-15  # the first row spans the first basis vector
+
+
+def test_own_basis_rows_take_no_out_array():
+    with pytest.raises(ValueError):
+        sample_sphere_vectors(4, 2, RngStream(0, 4), np.empty((2, 4), complex), own_basis=True)
+
+
+@pytest.mark.parametrize("d, n", [(3, 2), (6, 4), (12, 11)])
+def test_own_basis_inner_products_have_the_sphere_moments(d, n):
+    # |<u_i, u_j>|^2 of two independent uniform rows is the first coordinate
+    # of a uniform simplex point: mean 1/d, second moment 2/(d(d+1)); the
+    # pairs of one draw are averaged, so the draws are the independent units
+    gen = RngStream(9, d).generator()
+    i, j = np.triu_indices(n, 1)
+    per_draw = []
+    for _ in range(20000):
+        u = sample_sphere_vectors(d, n, gen, own_basis=True)
+        p = np.abs(u @ u.conj().T)[i, j] ** 2
+        per_draw.append([p.mean(), (p * p).mean()])
+    per_draw = np.array(per_draw)
+    mean = per_draw.mean(axis=0)
+    stderr = per_draw.std(axis=0, ddof=1) / np.sqrt(len(per_draw))
+    want = np.array([1.0 / d, 2.0 / (d * (d + 1))])
+    assert np.all(np.abs(mean - want) <= 4.0 * stderr)
+
+
 def test_simplex_points_live_on_the_simplex():
     z = sample_simplex_points(6, 50, RngStream(0, 2))
     assert np.all(z >= 0)
