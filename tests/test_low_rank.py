@@ -21,9 +21,11 @@ from bplab.sphere import sample_sphere_vectors
 MIXED = LevyTriple(0.0, FiniteMeasure(((1.0, 0.3), (-1.0, 0.3), (2.5, 0.1), (-2.5, 0.1))))
 MIXED_SPEC = {"gamma": 0, "atoms": [[1, 0.3], [-1, 0.3], [2.5, 0.1], [-2.5, 0.1]]}
 
+
 def _symmetric(gauss, w):
     """Gaussian mass gauss and jumps at +-1 of tail intensity 4 w."""
     return LevyTriple(0.0, FiniteMeasure(((0.0, gauss), (1.0, w), (-1.0, w))))
+
 
 # SHA-256 of the entries' bytes, recorded (numpy 2.4.6, scipy-openblas 0.3.31,
 # x86-64) with the samplers that multiplied the rank-one sum out as they drew it.
