@@ -110,20 +110,20 @@ class _Sample:
         V = (sqrt|x_k| u_k)_k, so C = s V V^*, from the n x n Gram matrix of
         the scaled rows: no factorization.  Any other tail takes
         C = R_u diag(x) R_w^* from the thin QRs u.T = Q_u R_u and
-        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*.  Rows in their own
-        basis are those R^T already: C = (u.T * x) @ w.conj()."""
+        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*.  Both cores use only
+        inner products of the rows, so rows in their own basis give the same
+        spectrum as the rows they stand for."""
         values = np.zeros(self.dim)
         if self.tail is not None and self.tail[0].size:
             x, u, w = self.tail
-            own = self.own_basis
-            if w is u and not own and (x.min() >= 0.0 or x.max() <= 0.0):
+            if w is u and (x.min() >= 0.0 or x.max() <= 0.0):
                 v = np.sqrt(np.abs(x))[:, None] * u
                 core = v @ v.conj().T
                 if x.max() <= 0.0:
                     np.negative(core, out=core)
             else:
-                r_u = u.T if own else np.linalg.qr(u.T, mode="r")
-                r_w = r_u if w is u else w.T if own else np.linalg.qr(w.T, mode="r")
+                r_u = np.linalg.qr(u.T, mode="r")
+                r_w = r_u if w is u else np.linalg.qr(w.T, mode="r")
                 core = (r_u * x) @ r_w.conj().T
             values[: x.size] = solve(core)
         return values + self.shift
