@@ -384,15 +384,17 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     """Fixed-count projection sums: spectral moments of sums of d_prime
     rank-one sphere projections versus the Marchenko-Pastur law with index
     d_prime / d.  Each sum is a sample with unit jumps and no shift, so for
-    d_prime < d its spectrum comes from a d_prime x d_prime core, and for
-    d_prime >= d the terms are summed BLOCK at a time (_rank_one_terms)."""
+    d_prime < d its rows are drawn in their own basis and its spectrum comes
+    from a d_prime x d_prime core, and for d_prime >= d the terms are summed
+    BLOCK at a time (_rank_one_terms)."""
     if d < 1 or d_prime < 0 or trials < 1:
         raise ValueError("need d >= 1, d_prime >= 0, trials >= 1")
     lam = d_prime / d
     kmax = 4
     per_trial = []
     for trial in range(trials):
-        tail = _rank_one_terms(np.ones(d_prime), d, RngStream(seed, trial).generator())
+        gen = RngStream(seed, trial).generator()
+        tail = _rank_one_terms(np.ones(d_prime), d, gen, own_basis=True)
         law = esd(HermitianSample(dim=d, tail=tail))
         per_trial.append(empirical_moments(law, kmax).values)
     per_trial = np.array(per_trial)

@@ -101,31 +101,20 @@ class _Sample:
         )
 
     def core_spectrum(self, solve) -> np.ndarray:
-        """For a low-rank sample with n rank-one terms: solve(C) on an n x n
-        core C, then d - n zeros for the rest of the space, all plus the
-        shift.  With eigvalsh (w = u) these are the eigenvalues of the sample,
-        with singular values its singular values.
-
-        A Hermitian tail whose jumps share one sign s is s V^* V with
-        V = (sqrt|x_k| u_k)_k, so C = s V V^*, from the n x n Gram matrix of
-        the scaled rows: no factorization.  Any other tail takes
-        C = R_u diag(x) R_w^* from the thin QRs u.T = Q_u R_u and
-        w.T = Q_w R_w, so that the tail is Q_u C Q_w^*.  Both cores use only
-        inner products of the rows, so rows in their own basis give the same
-        spectrum as the rows they stand for."""
+        """For a low-rank sample with n rank-one terms: solve(C) on the n x n
+        core C = (u.T * x) @ w.conj() of the tail in its rows' own basis, then
+        d - n zeros for the rest of the space, all plus the shift.  With
+        eigvalsh (w = u) these are the eigenvalues of the sample, with
+        singular values its singular values.  Rows of C^d are first given in
+        their own basis: by the thin QR u.T = Q R, their coordinates are the
+        rows of R.T (one QR when w is u)."""
         values = np.zeros(self.dim)
         if self.tail is not None and self.tail[0].size:
             x, u, w = self.tail
-            if w is u and (x.min() >= 0.0 or x.max() <= 0.0):
-                v = np.sqrt(np.abs(x))[:, None] * u
-                core = v @ v.conj().T
-                if x.max() <= 0.0:
-                    np.negative(core, out=core)
-            else:
-                r_u = np.linalg.qr(u.T, mode="r")
-                r_w = r_u if w is u else np.linalg.qr(w.T, mode="r")
-                core = (r_u * x) @ r_w.conj().T
-            values[: x.size] = solve(core)
+            if not self.own_basis:
+                r = np.linalg.qr(u.T, mode="r").T
+                u, w = r, (r if w is u else np.linalg.qr(w.T, mode="r").T)
+            values[: x.size] = solve((u.T * x) @ w.conj())
         return values + self.shift
 
 

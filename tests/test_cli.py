@@ -564,11 +564,11 @@ def test_benchmark_workloads_fit_the_budget():
 # SHA-256 of the stdout of `bplab project <args>` with version "unknown",
 # recorded (numpy 2.4.6, scipy-openblas 0.3.31, x86-64) when the projection
 # sums drew all their rows in one call and multiplied them out in one product;
-# the core's hash was recorded again when the n x n core came from the Gram
-# matrix of the rows in place of a thin QR (its moments moved in the last bits)
+# the core's hash was recorded again when its rows came to be drawn in their
+# own basis: the same law of the moments, from other variates
 PROJECT_STDOUT = [
     (["--dim", "50", "--count", "25", "--trials", "3"],  # count < d: the core
-     "e03cc2fa11a6ea645beb688d1feba256f685633a062ffbf0397be8bc7804f583"),
+     "26f7828f0cecdeccb38c8c568b72defcb1cb348fa462fcbb7b60b79dcd90b2c3"),
     (["--dim", "100", "--count", "200", "--trials", "2"],  # d <= count <= BLOCK
      "d0d37419064e5d9c77f77f6203d4f9c71a370c73dc7bb9777783990a867637a3"),
 ]
@@ -610,6 +610,26 @@ def test_projection_experiment_holds_O_d2_plus_block_d():
     finally:
         tracemalloc.stop()
     assert peak < 6 * (d * d + BLOCK * d) * 16
+
+
+@pytest.mark.parametrize("model, spec", [
+    ("hermitian", {"preset": "poisson", "lambda": 0.01}),
+    ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.005], [-1, 0.005]]}),
+])
+def test_low_rank_run_holds_O_n2_plus_d(model, spec):
+    # n ~ Poisson(40) terms at d = 4000 and no block: the rows in their own
+    # basis are n^2 entries, the spectrum and its statistics a few d; one
+    # d x d array would be 256 MB, and rows in C^d 2.6 MB
+    d = 4000
+    doc = config(model=model, triple=spec, dims=[d], trials_per_dim=1)
+    run(ExperimentConfig.from_dict(dict(doc, dims=[50])))  # warm caches and imports
+    tracemalloc.start()
+    try:
+        run(ExperimentConfig.from_dict(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * d * 16
 
 
 def test_project_budget_counts_one_block_of_rows(monkeypatch, capsys):

@@ -157,9 +157,12 @@ def test_singular_values_agree_with_the_dense_path(d, n):
     st.integers(2, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
     st.sampled_from(["positive", "negative", "mixed"]),
     st.booleans(),
+    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, seed):
+def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, own_basis, seed):
+    # with own_basis the factors are rows in their own basis, and the oracle
+    # is the dense path on the rows that they stand for, embedded in C^d
     d, n = shape
     gen = RngStream(seed, 26).generator()
     x = gen.uniform(0.01, 10.0, n)
@@ -167,15 +170,23 @@ def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, seed):
         x = -x
     elif signs == "mixed":
         x *= gen.choice([-1.0, 1.0], n)
-    _, u, w = _tail(d, n, [1.0], gen, pairs)
+    if own_basis:
+        u, w = (sample_sphere_vectors(d, n, gen, own_basis=True) for _ in range(2))
+        embedded_u, embedded_w = u @ _isometry(d, n, gen), w @ _isometry(d, n, gen)
+    else:
+        _, u, w = _tail(d, n, [1.0], gen, pairs)
+        embedded_u, embedded_w = u, w
     if pairs:  # squared singular values (test_singular_values_agree_with_the_dense_path)
         sample = ComplexMatrixSample(dim=d, tail=(x, u, w))
+        entries = ComplexMatrixSample(dim=d, tail=(x, embedded_u, embedded_w)).entries
         got, want = (np.sort(singular_values(m)) ** 2
-                     for m in (sample, ComplexMatrixSample(sample.entries)))
+                     for m in (sample, ComplexMatrixSample(entries)))
     else:
-        sample = HermitianSample(dim=d, shift=gen.uniform(-1.0, 1.0), tail=(x, u, u))
-        got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(sample.entries)
-    assert sample.low_rank and got.size == d
+        shift = gen.uniform(-1.0, 1.0)
+        sample = HermitianSample(dim=d, shift=shift, tail=(x, u, u))
+        dense = HermitianSample(dim=d, shift=shift, tail=(x, embedded_u, embedded_u))
+        got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(dense.entries)
+    assert sample.low_rank and sample.own_basis == own_basis and got.size == d
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -204,18 +215,19 @@ def _isometry(d, n, gen):
 @pytest.mark.parametrize("d, n", [(2, 1), (50, 1), (50, 17), (50, 49), (400, 200)])
 @pytest.mark.parametrize("jumps", [[1.0], [-2.0, -0.5], [-2.5, -1.0, 1.0, 2.5]])
 def test_own_basis_spectra_are_those_of_the_embedded_rows(d, n, jumps):
+    # the oracle is the dense path on the embedded rows' entries
     gen = RngStream(42, 1000 * d + n).generator()
     x = gen.choice(jumps, size=n)
     own_u, own_w = (sample_sphere_vectors(d, n, gen, own_basis=True) for _ in range(2))
     u, w = own_u @ _isometry(d, n, gen), own_w @ _isometry(d, n, gen)
     own = HermitianSample(dim=d, shift=0.3, tail=(x, own_u, own_u))
     assert own.own_basis and own.low_rank
-    got = own.eigenvalues()
-    want = HermitianSample(dim=d, shift=0.3, tail=(x, u, u)).eigenvalues()
+    got = np.sort(own.eigenvalues())
+    want = np.linalg.eigvalsh(HermitianSample(dim=d, shift=0.3, tail=(x, u, u)).entries)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    got = singular_values(ComplexMatrixSample(dim=d, tail=(x, own_u, own_w)))
-    want = singular_values(ComplexMatrixSample(dim=d, tail=(x, u, w)))
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+    got = np.sort(singular_values(ComplexMatrixSample(dim=d, tail=(x, own_u, own_w))))
+    want = np.linalg.svd(ComplexMatrixSample(dim=d, tail=(x, u, w)).entries, compute_uv=False)
+    assert np.max(np.abs(got - want[::-1])) <= 1e-12 * np.max(want)
 
 
 def _spectral_moments(x, d, gen, pairs, own_basis):
