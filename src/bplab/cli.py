@@ -24,7 +24,7 @@ import numpy as np
 from . import spectra
 from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, is_symmetric, triple_from_spec
+from .levy import LevyTriple, _json_float, is_symmetric, triple_from_spec
 from .rng import RngStream
 from .spectra import (
     MAX_ENTRIES,
@@ -328,9 +328,7 @@ def run(config: ExperimentConfig) -> Report:
 
 
 def _pool(laws) -> EmpiricalDistribution:
-    points = np.concatenate([law.support_points for law in laws])
-    weights = np.concatenate([law.weights for law in laws])
-    return EmpiricalDistribution(points, weights / weights.sum())
+    return EmpiricalDistribution(np.concatenate([law.support_points for law in laws]))
 
 
 _TARGET_LAWS = {
@@ -351,10 +349,10 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
         raise ConfigError(f"{path}.grid", "must be an object")
     try:
         grid = GridSpec(
-            real_range=tuple(float(v) for v in g.get("real_range", (-8.0, 8.0))),
-            real_step=float(g.get("real_step", 0.05)),
+            real_range=tuple(_json_float(v) for v in g.get("real_range", (-8.0, 8.0))),
+            real_step=_json_float(g.get("real_step", 0.05)),
             imaginary_levels=tuple(
-                float(v) for v in g.get("imaginary_levels", (1.0, 2.0, 4.0))
+                _json_float(v) for v in g.get("imaginary_levels", (1.0, 2.0, 4.0))
             ),
         )
     except (TypeError, ValueError, OverflowError) as exc:
@@ -372,7 +370,7 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     if not isinstance(params, list):
         raise ConfigError(f"{path}.target.params", "must be a list of numbers")
     try:
-        values = [float(v) for v in params]
+        values = [_json_float(v) for v in params]
         if not all(math.isfinite(v) for v in values):
             raise ValueError("params must be finite")
         return make(*values), grid

@@ -129,7 +129,7 @@ class HermitianSample(_Sample):
         if m is not None:
             asym = np.conj(m.T)  # the one d x d temporary of the check
             asym -= m
-            if np.max(np.abs(asym)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+            if not np.max(np.abs(asym)) <= 1e-10 * max(1.0, np.max(np.abs(m))):
                 raise ValueError("matrix is not Hermitian within tolerance")
         if isinstance(self.tail, tuple) and self.tail[2] is not self.tail[1]:
             raise ValueError("a Hermitian tail needs w = u")
@@ -197,8 +197,8 @@ def sample_P_gaussian(
     """Exact Gaussian case: sqrt(var) * (GUE(d, 1/(d+1)) + X/sqrt(d+1) * I) + mean * I
     with X an independent standard real Gaussian.  The scaling and the
     diagonal terms are applied in place."""
-    if var < 0:
-        raise ValueError("variance must be nonnegative")
+    if not (np.isfinite(mean) and 0 <= var < np.inf):
+        raise ValueError("mean must be finite, variance finite and nonnegative")
     if d < 1:
         raise ValueError("d must be positive")
     gen = as_generator(rng)
@@ -298,15 +298,19 @@ def _decompose(t: LevyTriple, cut: float | None) -> _Decomposition:
         locs = t.G.locations()
         off = np.abs(locs[~at_zero(locs)])
         cut = float(off.min()) / 2.0 if off.size else 1.0
-    if cut <= 0:
+    if not cut > 0:
         raise ValueError("inner cut must be positive")
     inner, tail = truncate(t, cut)  # by this module's name: perfbench/tracing.py wraps it
     locs, ws = inner.G.locations(), inner.G.weights()
     jumps = ~at_zero(locs)
     u, w = locs[jumps], ws[jumps]
-    sub_var = running_sum(w * (1.0 + u * u))
-    mean = inner.gamma + running_sum(w * u)  # first cumulant of the inner triple
-    return _Decomposition(mean, running_sum(ws[~jumps]) + sub_var, tail, sub_var, cut)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        sub_var = running_sum(w * (1.0 + u * u))
+        mean = inner.gamma + running_sum(w * u)  # first cumulant of the inner triple
+        var = running_sum(ws[~jumps]) + sub_var
+    if not (np.isfinite(mean) and np.isfinite(var)):
+        raise ValueError("the small-jump substitution overflows a float")
+    return _Decomposition(mean, var, tail, sub_var, cut)
 
 
 def _sample_composite(

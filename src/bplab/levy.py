@@ -143,9 +143,9 @@ class CompoundPoissonParams:
     drift_correction: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("intensity must be nonnegative")
-        if self.lam > 0 and abs(self.rho.total_mass - 1.0) > 1e-9:
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("intensity must be finite and nonnegative")
+        if self.lam > 0 and not abs(self.rho.total_mass - 1.0) <= 1e-9:
             raise ValueError("jump law must be a probability measure")
 
 
@@ -222,7 +222,7 @@ def truncate(t: LevyTriple, cut: float) -> tuple[LevyTriple, CompoundPoissonPara
     Poisson triple reconstructs t atom-exactly.  An atom at zero (at_zero:
     |u| <= 1e-12) is Gaussian mass and stays in inner at any cut.
     """
-    if cut <= 0:
+    if not cut > 0:
         raise ValueError("cut must be positive")
     u, w = t.G.locations(), t.G.weights()
     out = (np.abs(u) > cut) & ~at_zero(u)
@@ -380,7 +380,7 @@ def _parse_spec(spec) -> LevyTriple:
         raise ValueError(f"unknown preset {name!r}")
     if "gamma" in spec:
         try:
-            atoms = tuple((float(u), float(w)) for u, w in spec.get("atoms", []))
+            atoms = tuple((_json_float(u), _json_float(w)) for u, w in spec.get("atoms", []))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"'atoms' must be a list of [location, weight] pairs: {exc}") from exc
         return LevyTriple(_number(spec, "gamma"), FiniteMeasure(atoms))
@@ -390,12 +390,19 @@ def _parse_spec(spec) -> LevyTriple:
 def _number(spec: dict, key: str, default: float | None = None) -> float:
     """spec[key], or default when absent, as a finite float; errors name the key."""
     try:
-        value = float(spec.get(key, default))
+        value = _json_float(spec.get(key, default))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{key!r} is missing or not a number") from exc
     if not math.isfinite(value):
         raise ValueError(f"{key!r} must be finite")
     return value
+
+
+def _json_float(value) -> float:
+    """float(value) of a JSON number: true and false are not numbers."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a number")
+    return float(value)
 
 
 def triple_to_spec(t: LevyTriple) -> dict:

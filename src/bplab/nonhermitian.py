@@ -50,6 +50,8 @@ def sample_L_gaussian(
     N(0, scale / (2d))."""
     if d < 1:
         raise ValueError("d must be positive")
+    if not 0 <= scale < np.inf:
+        raise ValueError("scale must be finite and nonnegative")
     gen = as_generator(rng)
     z = standard_complex_normal(gen, (d, d)) * np.sqrt(scale / d)
     return ComplexMatrixSample(z)
@@ -124,5 +126,4 @@ def symmetrized_singular_law(M: ComplexMatrixSample) -> EmpiricalDistribution:
     spectrum.  Odd moments vanish exactly; even moment 2k equals the
     normalized trace of (M^* M)^k."""
     s = singular_values(M)
-    points = np.concatenate([-s, s])
-    return EmpiricalDistribution.from_samples(points)
+    return EmpiricalDistribution(np.concatenate([-s, s]))

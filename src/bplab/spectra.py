@@ -56,34 +56,16 @@ MAX_KMAX = 64
 
 @dataclass(frozen=True)
 class EmpiricalDistribution:
-    """Weighted sample set: sorted support points with positive weights
-    summing to one."""
+    """The uniform law on its points, kept sorted: mass 1/N at each of the
+    N support points, a repeated point counting once per repeat."""
 
     support_points: np.ndarray
-    weights: np.ndarray
 
     def __post_init__(self):
-        x = np.asarray(self.support_points, dtype=float)
-        w = np.asarray(self.weights, dtype=float)
-        if x.shape != w.shape or x.ndim != 1 or x.size == 0:
-            raise ValueError("support and weights must be matching 1-d arrays")
-        if np.any(w <= 0):
-            raise ValueError("weights must be positive")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must sum to one")
-        order = np.argsort(x)
-        object.__setattr__(self, "support_points", x[order])
-        object.__setattr__(self, "weights", w[order])
-
-    @classmethod
-    def from_samples(cls, samples) -> "EmpiricalDistribution":
-        x = np.asarray(samples, dtype=float).ravel()
-        n = x.size
-        return cls(x, np.full(n, 1.0 / n))
-
-    @classmethod
-    def point_mass(cls, a: float) -> "EmpiricalDistribution":
-        return cls(np.array([a]), np.array([1.0]))
+        x = np.asarray(self.support_points, dtype=float).ravel()
+        if x.size == 0:
+            raise ValueError("an empirical law needs at least one point")
+        object.__setattr__(self, "support_points", np.sort(x))
 
 
 @dataclass(frozen=True)
@@ -152,20 +134,20 @@ class GridSpec:
 
 
 def esd(M) -> EmpiricalDistribution:
-    """Empirical spectral distribution: eigenvalues with weight 1/d each.  M is
+    """Empirical spectral distribution: the uniform law on the eigenvalues.  M is
     a Hermitian sample, which solves for its own eigenvalues (from an n x n
     core when it is low rank), or an array, checked as one."""
     if not isinstance(M, HermitianSample):
         M = HermitianSample(np.asarray(M))
-    return EmpiricalDistribution.from_samples(M.eigenvalues())
+    return EmpiricalDistribution(M.eigenvalues())
 
 
 def empirical_moments(nu: EmpiricalDistribution, kmax: int) -> MomentSequence:
-    """Weighted power sums of the support."""
+    """Power sums of the support over its size."""
     if kmax < 1:
         raise ValueError("kmax must be >= 1")
     x = nu.support_points
-    w = nu.weights
+    w = 1.0 / x.size
     return MomentSequence(tuple(float(np.sum(w * x**k)) for k in range(1, kmax + 1)))
 
 
@@ -229,9 +211,10 @@ def _transform(nu, z: np.ndarray) -> np.ndarray:
 
 
 def _empirical_transform(nu: EmpiricalDistribution, z: np.ndarray) -> np.ndarray:
-    """Weighted sum of 1/(x - z) over the support, one block of the
+    """Sum of 1/(x - z) over the support, over its size, one block of the
     (z x support) product at a time so that memory stays bounded."""
-    x, w = nu.support_points, nu.weights
+    x = nu.support_points
+    w = 1.0 / x.size
     flat = z.ravel()
     out = np.zeros(flat.shape, dtype=complex)
     xstep = min(x.size, _TRANSFORM_BLOCK)
@@ -239,7 +222,7 @@ def _empirical_transform(nu: EmpiricalDistribution, z: np.ndarray) -> np.ndarray
     for i in range(0, flat.size, zstep):
         zb = flat[i : i + zstep, None]
         for j in range(0, x.size, xstep):
-            out[i : i + zstep] += np.sum(w[j : j + xstep] / (x[j : j + xstep] - zb), axis=1)
+            out[i : i + zstep] += np.sum(w / (x[j : j + xstep] - zb), axis=1)
     return out.reshape(z.shape)
 
 
@@ -298,7 +281,8 @@ def psi_image_moments(t: LevyTriple, kmax: int) -> MomentSequence:
 
 
 def histogram(nu: EmpiricalDistribution, bins: int):
-    """Mass-preserving binning: list of (bin_center, mass) pairs."""
+    """Binning: list of (bin_center, mass) pairs, each mass the bin's count
+    over the number of points."""
     if bins < 1:
         raise ValueError("bins must be >= 1")
     x = nu.support_points
@@ -307,7 +291,6 @@ def histogram(nu: EmpiricalDistribution, bins: int):
         lo, hi = lo - 0.5, hi + 0.5
     edges = np.linspace(lo, hi, bins + 1)
     idx = np.clip(np.searchsorted(edges, x, side="right") - 1, 0, bins - 1)
-    mass = np.zeros(bins)
-    np.add.at(mass, idx, nu.weights)
+    mass = np.bincount(idx, minlength=bins) / x.size
     centers = 0.5 * (edges[:-1] + edges[1:])
     return [(float(c), float(m)) for c, m in zip(centers, mass)]

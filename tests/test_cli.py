@@ -80,6 +80,20 @@ def test_good_config_parses():
         ({"triple": {"gamma": float("inf")}}, "triple"),
         ({"outputs": {"moments": {"kmax": MAX_KMAX + 1}}}, "outputs.moments.kmax"),
         ({"outputs": {"moments": {"kmax": 100000000}}}, "outputs.moments.kmax"),
+        # JSON booleans are not numbers
+        ({"triple": {"preset": "poisson", "lambda": True}}, "triple"),
+        ({"triple": {"gamma": False, "atoms": []}}, "triple"),
+        ({"triple": {"gamma": 0, "atoms": [[True, 1]]}}, "triple"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [True]}}}},
+         "outputs.cauchy_distance.target.params"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"real_step": True}}}},
+         "outputs.cauchy_distance.grid"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"imaginary_levels": [True]}}}},
+         "outputs.cauchy_distance.grid"),
+        # a small-jump substitution whose mean and variance overflow
+        ({"triple": {"gamma": 0, "atoms": [[1e200, 1e200]]}, "inner_cut": 1e300}, "triple"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -580,6 +594,35 @@ def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, 
     monkeypatch.setattr("bplab.cli._version", lambda: "unknown")
     assert main(["project", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
+# SHA-256 of json.dumps(report.rows) of `run` at BPLAB_THREADS=1, recorded
+# (numpy 2.4.6, scipy-openblas 0.3.31, x86-64) when EmpiricalDistribution
+# still carried a weight per point: a low-rank P run (Poisson(d / 2) < d
+# terms and no Gaussian block, so an own-basis core) and an L run with a
+# Gaussian block (the dense path), pooled distance rows included.  The P
+# hash was recorded again (from 8712d652...) when the pooled law became the
+# uniform law on its N points: its weight 1/N had been (1/n) / sum, which
+# differs in the last bit here, and the d = 20 pooled distance row went
+# from 0.06711547587602497 to 0.067115475876025
+RUN_ROWS = [
+    ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]),
+     "9ed3101363e9f25c9be72a28afd1e199ceb2ac20997f7b8e2a3fbabdc1e89937"),
+    ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]},
+     ("semicircle", [0.0, 1.0]),
+     "b0eaa32b70ae2ee737d6174eb0bf603450d7acb6470a3be39d16feeb5748bdc3"),
+]
+
+
+@pytest.mark.parametrize("model, spec, target, sha", RUN_ROWS, ids=["low-rank-P", "block-L"])
+def test_run_rows_are_the_recorded_bytes(monkeypatch, model, spec, target, sha):
+    monkeypatch.setenv("BPLAB_THREADS", "1")
+    law, params = target
+    doc = config(model=model, triple=spec, dims=[20, 40], trials_per_dim=3, seed=7,
+                 outputs={"moments": {"kmax": 4}, "histogram": {"bins": 8},
+                          "cauchy_distance": {"target": {"law": law, "params": params}}})
+    rows = run(ExperimentConfig.from_dict(doc)).rows
+    assert hashlib.sha256(json.dumps(rows).encode()).hexdigest() == sha
 
 
 def test_blocked_project_moments_agree_with_the_one_product(capsys):

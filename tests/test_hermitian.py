@@ -16,9 +16,9 @@ from bplab.hermitian import (
     sample_P_scalars,
     sample_Q,
 )
-from bplab.levy import (FiniteMeasure, LevyTriple, cauchy, compound_poisson_triple, convolve,
-                        dirac, gaussian, poisson, truncate)
-from bplab.nonhermitian import ComplexMatrixSample
+from bplab.levy import (CompoundPoissonParams, FiniteMeasure, LevyTriple, cauchy,
+                        compound_poisson_triple, convolve, dirac, gaussian, poisson, truncate)
+from bplab.nonhermitian import ComplexMatrixSample, sample_L_gaussian
 from bplab.rng import RngStream, standard_complex_normal
 from oracles import ks_continuous, ks_integer
 
@@ -184,6 +184,27 @@ def test_sampler_validation():
         sample_P_many(gaussian(0, 1), 0, RngStream(0, 0), 1)
     with pytest.raises(ValueError):
         sample_P(gaussian(0, 1), 3, RngStream(0, 0), inner_cut=-0.1)
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: HermitianSample(np.array([[1.0, NAN], [2.0, 1.0]])),
+    lambda: sample_P_gaussian(0.0, NAN, 3, RngStream(0, 0)),
+    lambda: sample_P_gaussian(NAN, 1.0, 3, RngStream(0, 0)),
+    lambda: sample_L_gaussian(3, RngStream(0, 0), scale=-1.0),
+    lambda: sample_L_gaussian(3, RngStream(0, 0), scale=NAN),
+    lambda: _decompose(poisson(1.0), NAN),
+    lambda: truncate(poisson(1.0), NAN),
+    lambda: sample_P(poisson(1.0), 4, RngStream(0, 0), inner_cut=NAN),
+    lambda: CompoundPoissonParams(NAN, FiniteMeasure(((1.0, 1.0),))),
+], ids=["hermitian-check", "gaussian-var", "gaussian-mean", "ginibre-scale",
+        "ginibre-scale-nan", "decompose-cut", "truncate-cut", "sample-cut", "intensity"])
+def test_nan_fails_the_api_checks(call):
+    # NaN compares false, so each check is written to pass only good values
+    with pytest.raises(ValueError):
+        call()
 
 
 def test_streams_are_reproducible_and_distinct():

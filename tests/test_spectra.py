@@ -28,19 +28,10 @@ from oracles import mp_atom, mp_transform_quad
 
 def test_empirical_distribution_validation_and_sorting():
     with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([0.0]), np.array([0.5]))
-    with pytest.raises(ValueError):
-        EmpiricalDistribution(np.array([0.0, 1.0]), np.array([1.5, -0.5]))
-    nu = EmpiricalDistribution(np.array([2.0, 1.0]), np.array([0.25, 0.75]))
-    assert list(nu.support_points) == [1.0, 2.0]
-    assert list(nu.weights) == [0.75, 0.25]
-
-
-def test_from_samples_and_point_mass():
-    nu = EmpiricalDistribution.from_samples([3.0, 1.0, 2.0])
-    assert np.allclose(nu.weights, 1.0 / 3.0)
-    pm = EmpiricalDistribution.point_mass(2.0)
-    assert pm.support_points[0] == 2.0
+        EmpiricalDistribution(np.array([]))
+    nu = EmpiricalDistribution([3.0, 1.0, 2.0, 1.0])
+    assert list(nu.support_points) == [1.0, 1.0, 2.0, 3.0]
+    assert list(EmpiricalDistribution([2.0]).support_points) == [2.0]
 
 
 def test_esd_of_a_diagonal_matrix():
@@ -51,7 +42,7 @@ def test_esd_of_a_diagonal_matrix():
 
 
 def test_empirical_moments_by_hand():
-    nu = EmpiricalDistribution(np.array([-1.0, 2.0]), np.array([0.5, 0.5]))
+    nu = EmpiricalDistribution(np.array([-1.0, 2.0]))
     m = empirical_moments(nu, 3)
     assert m.values == (0.5, 2.5, 3.5)
 
@@ -123,7 +114,7 @@ def test_mp_atom():
 def test_transform_of_point_masses():
     z = 0.5 + 2.0j
     assert cauchy_transform(dirac_law(1.0), z) == pytest.approx(1.0 / (1.0 - z))
-    emp = EmpiricalDistribution.point_mass(1.0)
+    emp = EmpiricalDistribution([1.0])
     assert cauchy_transform(emp, z) == pytest.approx(1.0 / (1.0 - z))
 
 
@@ -180,11 +171,11 @@ def test_marchenko_pastur_closed_form_matches_quadrature(lam):
         semicircle(0.2, 0.8),
         marchenko_pastur(0.0),
         marchenko_pastur(0.4),
-        EmpiricalDistribution.point_mass(-1.0),
+        EmpiricalDistribution([-1.0]),
         # 5000 support points x 63 grid points spans several blocks of z;
         # 70000 points split the support as well
-        EmpiricalDistribution.from_samples(np.random.default_rng(1).standard_normal(5000)),
-        EmpiricalDistribution.from_samples(np.random.default_rng(2).standard_normal(70000)),
+        EmpiricalDistribution(np.random.default_rng(1).standard_normal(5000)),
+        EmpiricalDistribution(np.random.default_rng(2).standard_normal(70000)),
     ],
     ids=lambda nu: getattr(nu, "kind", "empirical"),
 )
@@ -231,7 +222,7 @@ def test_empirical_semicircle_approaches_reference():
         y = rng.uniform(0, 1 / np.pi, size=1000)
         keep = y < np.sqrt(4 - x * x) / (2 * np.pi)
         xs.extend(x[keep])
-    nu = EmpiricalDistribution.from_samples(np.array(xs[:20000]))
+    nu = EmpiricalDistribution(np.array(xs[:20000]))
     assert cauchy_sup_distance(nu, semicircle(0.0, 1.0)) < 0.02
 
 
@@ -276,14 +267,21 @@ def test_psi_image_moments_add_at_the_cumulant_level():
 
 
 def test_histogram_preserves_mass():
-    nu = EmpiricalDistribution.from_samples(np.linspace(-1, 1, 101))
+    nu = EmpiricalDistribution(np.linspace(-1, 1, 101))
     bins = histogram(nu, 7)
     assert sum(m for _, m in bins) == pytest.approx(1.0, abs=1e-12)
     assert len(bins) == 7
 
 
+def test_histogram_masses_are_bin_counts_over_n():
+    # an exact count over N, where adding 1/N once per point rounds
+    x = np.random.default_rng(0).standard_normal(2400)
+    masses = [m for _, m in histogram(EmpiricalDistribution(x), 40)]
+    assert masses == list(np.histogram(x, bins=40)[0] / x.size)
+
+
 def test_histogram_degenerate_support():
-    nu = EmpiricalDistribution.point_mass(3.0)
+    nu = EmpiricalDistribution([3.0])
     bins = histogram(nu, 3)
     assert sum(m for _, m in bins) == pytest.approx(1.0)
     with pytest.raises(ValueError):
