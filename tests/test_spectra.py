@@ -31,7 +31,15 @@ def test_empirical_distribution_validation_and_sorting():
         EmpiricalDistribution(np.array([]))
     nu = EmpiricalDistribution([3.0, 1.0, 2.0, 1.0])
     assert list(nu.support_points) == [1.0, 1.0, 2.0, 3.0]
-    assert list(EmpiricalDistribution([2.0]).support_points) == [2.0]
+
+
+def test_from_samples_and_point_mass():
+    # samples give the uniform law, each point weighing 1/N
+    nu = EmpiricalDistribution([3.0, 1.0, 2.0])
+    assert empirical_moments(nu, 2).values == pytest.approx((2.0, 14.0 / 3.0))
+    pm = EmpiricalDistribution([2.0])
+    assert list(pm.support_points) == [2.0]
+    assert empirical_moments(pm, 3).values == pytest.approx((2.0, 4.0, 8.0))
 
 
 def test_esd_of_a_diagonal_matrix():
