@@ -3,6 +3,10 @@ Lévy-triple calculus, partition combinatorics, Hermitian and non-Hermitian
 matrix samplers, and spectral statistics for checking the limit laws.
 """
 
+# the one place the version is written besides pyproject.toml (a test keeps
+# the two equal); reports carry it, so it is set before any submodule loads
+__version__ = "0.1.0"
+
 from .rng import RngStream
 from .levy import (
     FiniteMeasure,
@@ -67,5 +71,3 @@ from .spectra import (
     marchenko_pastur,
     dirac_law,
 )
-
-__version__ = "0.1.0"

@@ -4,24 +4,24 @@ Configs are JSON documents; trials are the unit of parallel work, each one
 owning the stream whose id is its trial index, and aggregation is a
 deterministic fold over sorted trial indices, so reports are bit-identical
 for a given (config, seed) regardless of worker count.
+
+argparse, csv and the thread pool are imported where they are first used, so
+importing this module and running a config on one worker loads none of them.
 """
 
 from __future__ import annotations
 
-import argparse
-import csv
 import io
 import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from . import spectra
+from . import __version__, spectra
 from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
 from .levy import LevyTriple, _json_float, is_symmetric, triple_from_spec
@@ -224,6 +224,8 @@ class Report:
         )
 
     def to_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(["dim", "trial_count", "stat_name", "mean", "stderr"])
@@ -245,12 +247,9 @@ def _worker_count() -> int:
 
 
 def _version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("bplab")
-    except Exception:
-        return "unknown"
+    """The version a report carries, bplab.__version__: a source checkout
+    has it too, and no installed metadata is read."""
+    return __version__
 
 
 def _aggregate(values: np.ndarray) -> tuple[float, float]:
@@ -289,6 +288,8 @@ def run(config: ExperimentConfig) -> Report:
     for d in config.dims:
         trials = list(range(config.trials_per_dim))
         if workers > 1 and len(trials) > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 laws = list(pool.map(lambda t: _trial_law(config, d, t), trials))
         else:
@@ -452,6 +453,8 @@ def _decode(field: str, read):
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="bplab",
         description="Random matrix experiments for infinitely divisible laws",

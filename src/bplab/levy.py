@@ -247,17 +247,17 @@ def convolve(t1: LevyTriple, t2: LevyTriple) -> LevyTriple:
 def is_symmetric(t: LevyTriple, tol: float = 1e-9) -> bool:
     """The law is symmetric iff gamma = 0 and G is invariant under u -> -u.
 
-    Each atom u != 0 needs a partner, the first atom um in sorted order with
-    |um + u| <= max(tol, 1e-12); for u > 0 the partner's weight must also
-    match within tol.
+    Each atom off zero (at_zero: its mass is Gaussian) needs a partner, the
+    first atom um in sorted order with |um + u| <= max(tol, 1e-12); for u > 0
+    the partner's weight must also match within tol.  tol must be finite.
     """
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    if not 0 <= tol < math.inf:
+        raise ValueError("tol must be nonnegative and finite")
     if abs(t.gamma) > tol:
         return False
     locs, ws = t.G.locations(), t.G.weights()
-    nonzero = locs != 0
-    u, w = locs[nonzero], ws[nonzero]
+    jumps = ~at_zero(locs)
+    u, w = locs[jumps], ws[jumps]
     if u.size == 0:
         return True
     eps = max(tol, _MERGE_TOL)

@@ -68,6 +68,17 @@ class EmpiricalDistribution:
         object.__setattr__(self, "support_points", np.sort(x))
 
 
+# What each reference law's params must be; the checks below are written so
+# that NaN fails them.
+_REFERENCE_PARAMS = {
+    "semicircle": ("a finite mean and a positive finite radius",
+                   lambda mean, r: math.isfinite(mean) and 0 < r < math.inf),
+    "cauchy": ("a positive finite a", lambda a: 0 < a < math.inf),
+    "marchenko_pastur": ("a nonnegative finite lam", lambda lam: 0 <= lam < math.inf),
+    "dirac": ("a finite a", math.isfinite),
+}
+
+
 @dataclass(frozen=True)
 class ReferenceLaw:
     """Closed-form target law; see the factory helpers below."""
@@ -76,27 +87,28 @@ class ReferenceLaw:
     params: tuple[float, ...]
 
     def __post_init__(self):
-        if self.kind not in ("semicircle", "cauchy", "marchenko_pastur", "dirac"):
+        if self.kind not in _REFERENCE_PARAMS:
             raise ValueError(f"unknown reference law {self.kind!r}")
+        needs, ok = _REFERENCE_PARAMS[self.kind]
+        try:
+            valid = ok(*self.params)
+        except TypeError:  # the wrong number of params
+            valid = False
+        if not valid:
+            raise ValueError(f"{self.kind} needs {needs}, got {self.params}")
 
 
 def semicircle(mean: float = 0.0, radius_half: float = 1.0) -> ReferenceLaw:
     """Semicircle with the given mean and variance radius_half**2 (support
     half-width is twice radius_half)."""
-    if radius_half <= 0:
-        raise ValueError("radius parameter must be positive")
     return ReferenceLaw("semicircle", (mean, radius_half))
 
 
 def cauchy_law(a: float) -> ReferenceLaw:
-    if a <= 0:
-        raise ValueError("a must be positive")
     return ReferenceLaw("cauchy", (a,))
 
 
 def marchenko_pastur(lam: float) -> ReferenceLaw:
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
     return ReferenceLaw("marchenko_pastur", (lam,))
 
 

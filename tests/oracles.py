@@ -100,19 +100,19 @@ def merge_atoms_scan(atoms, tol=1e-12):
 
 def is_symmetric_scan(t, tol=1e-9):
     """Symmetry of a triple by the pairwise O(n^2) scan: gamma = 0, and each
-    atom u != 0 has a partner, the first atom um in sorted order with
-    |um + u| <= max(tol, 1e-12), whose weight matches within tol if u > 0."""
+    atom with |u| > 1e-12 has a partner, the first atom um in sorted order
+    with |um + u| <= max(tol, 1e-12), whose weight matches within tol if u > 0."""
     if abs(t.gamma) > tol:
         return False
     atoms = list(t.G.atoms)
     for u, w in atoms:
-        if u <= 0:
+        if u <= 1e-12:
             continue
         partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
         if partner is None or abs(partner - w) > tol:
             return False
     for u, w in atoms:
-        if u >= 0:
+        if u >= -1e-12:
             continue
         partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
         if partner is None:

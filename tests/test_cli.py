@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -697,6 +698,38 @@ def test_cli_project_subcommand(tmp_path):
     report = json.loads((out / "report.json").read_text())
     names = {row["stat_name"] for row in report["rows"]}
     assert {"m1", "m4", "m1_reference", "m4_reference"} <= names
+
+
+def test_a_one_worker_run_loads_no_unused_stdlib(tmp_path):
+    # argparse, csv and the thread pool load on first use, and the version is
+    # bplab.__version__: a fresh interpreter that imports bplab.cli, parses a
+    # config and runs it on one worker has none of them
+    doc = config(triple={"preset": "poisson", "lambda": 0.5}, dims=[10, 20],
+                 outputs={"moments": {"kmax": 4}, "histogram": {"bins": 5},
+                          "cauchy_distance": {"target": {"law": "marchenko_pastur",
+                                                         "params": [0.5]}}})
+    code = (
+        "import json, sys\n"
+        "import bplab.cli\n"
+        "bplab.cli.run(bplab.cli.ExperimentConfig.from_dict(json.loads(sys.argv[1]))).to_json()\n"
+        "print(*[m for m in sys.argv[2:] if m in sys.modules])\n"
+    )
+    unused = ["argparse", "csv", "concurrent.futures", "logging", "importlib.metadata"]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(bplab.__file__)))
+    env = dict(os.environ, BPLAB_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(doc), *unused], env=env,
+                         cwd=tmp_path, capture_output=True, text=True, check=True,
+                         timeout=120)
+    assert out.stdout.split() == []
+
+
+def test_version_is_the_pyproject_version():
+    # a regex, not tomllib: Python 3.10 has none
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text("utf-8")
+    version = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE).group(1)
+    assert bplab.__version__ == version
+    assert run(ExperimentConfig.from_dict(config())).version == version
 
 
 def test_worker_count_env(monkeypatch):

@@ -328,6 +328,28 @@ def test_is_symmetric():
     assert is_symmetric(cauchy(1.0))
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
+def test_is_symmetric_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
+    # NaN compares false with everything: it answered True for gaussian and
+    # False for poisson
+    for t in (gaussian(0.0, 1.0), poisson(1.0)):
+        with pytest.raises(ValueError):
+            is_symmetric(t, tol)
+
+
+def test_is_symmetric_counts_atoms_at_zero_as_gaussian_mass():
+    # 8e-13 is at zero, so _decompose makes its mass Gaussian; it needs no
+    # partner at any tol (at tol = 0 it had none, its mirror being 1.6e-12 away)
+    t = LevyTriple(0.0, FiniteMeasure(((8e-13, 1.0), (1.0, 0.5), (-1.0, 0.5))))
+    assert _decompose(t, None).var == 1.0
+    for tol in (0.0, 1e-9):
+        assert is_symmetric(t, tol) and is_symmetric_scan(t, tol)
+    # just off zero, an atom is a jump and still needs its mirror
+    off = LevyTriple(0.0, FiniteMeasure(((2e-12, 1.0), (1.0, 0.5), (-1.0, 0.5))))
+    assert not at_zero(np.array([2e-12]))[0]
+    assert not is_symmetric(off, 0.0) and not is_symmetric_scan(off, 0.0)
+
+
 def _near_symmetric_triple(rng, tol):
     """Atoms u > 0 from a dyadic lattice or uniform draws, mirrored to -u;
     at a rate drawn per set, a mirror is shifted by +-tol or +-2 tol, a

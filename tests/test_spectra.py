@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from bplab.levy import convolve, gaussian, poisson
 from bplab.spectra import (
     EmpiricalDistribution,
     GridSpec,
+    ReferenceLaw,
     cauchy_law,
     cauchy_sup_distance,
     cauchy_transform,
@@ -106,6 +108,36 @@ def test_reference_moments_match_density_quadrature(law):
         if law.kind == "marchenko_pastur":
             val += 0.0**k * mp_atom(law)
         assert val == pytest.approx(ref[k], abs=1e-7)
+
+
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "make, args",
+    [(semicircle, (x, 1.0)) for x in NON_FINITE]
+    + [(semicircle, (0.0, x)) for x in NON_FINITE]
+    + [(make, (x,)) for make in (cauchy_law, marchenko_pastur, dirac_law) for x in NON_FINITE],
+)
+def test_reference_laws_refuse_non_finite_parameters(make, args):
+    with pytest.raises(ValueError):
+        make(*args)
+
+
+def test_reference_law_parameter_bounds():
+    for make, args in ((semicircle, (0.0, 0.0)), (cauchy_law, (0.0,)),
+                       (marchenko_pastur, (-1e-300,))):
+        with pytest.raises(ValueError):
+            make(*args)
+    # the class checks what the factories pass it: a Cauchy(-1) target read
+    # a distance of 3.5e13, and a NaN radius warned and read NaN
+    for kind, params in (("cauchy", (-1.0,)), ("semicircle", (0.0, math.nan)),
+                         ("dirac", ()), ("marchenko_pastur", (0.5, 1.0)), ("gumbel", (1.0,))):
+        with pytest.raises(ValueError):
+            ReferenceLaw(kind, params)
+    assert marchenko_pastur(0.0).params == (0.0,)
+    assert semicircle(-1e300, 1e-300).params == (-1e300, 1e-300)
+    assert dirac_law(-1e308).params == (-1e308,)
 
 
 def test_mp_atom():
