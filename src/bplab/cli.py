@@ -156,14 +156,15 @@ def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str]
     """A trial at dim d has n = terms(d) rank-one terms of k sphere rows
     each (hermitian._rank_one_terms).  Memory, checked at the largest dim:
     the d x d matrix, the n jump values and the k d min(n, max(d, BLOCK))
-    row entries held at once, all of them while n < d keeps the factors and
-    one block of BLOCK terms otherwise; over MAX_ENTRIES names fields[0]
-    (the dims) when the matrix alone is over the budget and fields[2] (the
-    terms) otherwise.  Time: each trial costs, at each dim, d^3 multiply-adds
-    for the spectrum, k n d^2 for the rank-one products and _TRIAL_FLOPS
-    besides; trials times that sum over MAX_FLOPS names fields[0] when one
-    trial is over the budget without its terms, fields[1] (the trial count)
-    when the trials are, and fields[2] otherwise."""
+    row entries held at once, a bound on the own-basis factors and Haar
+    columns of n < d terms and on one block of BLOCK rows of a summed tail;
+    over MAX_ENTRIES names fields[0] (the dims) when the matrix alone is
+    over the budget and fields[2] (the terms) otherwise.  Time: each trial
+    costs, at each dim, d^3 multiply-adds for the spectrum, k n d^2 for the
+    rank-one products and _TRIAL_FLOPS besides; trials times that sum over
+    MAX_FLOPS names fields[0] when one trial is over the budget without its
+    terms, fields[1] (the trial count) when the trials are, and fields[2]
+    otherwise."""
     d = dims[-1]
     if d * d > MAX_ENTRIES:  # before any float: d may be too large for one
         raise ConfigError(fields[0], f"d = {d} needs d^2 complex entries, "
@@ -265,11 +266,10 @@ def _trial_law(config: ExperimentConfig, d: int, trial: int):
     rng = RngStream(config.seed, trial)
     # one sample_*_many call per trial, by this module's names: perfbench/tracing.py
     # times it as the per-trial sample, so the decomposition is not hoisted out.
-    # Only spectra are used, so low-rank tails are drawn in their own basis.
     if config.model == "hermitian":
-        sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut, own_basis=True)[0]
+        sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut)[0]
         return esd(sample)
-    sample = sample_L_many(config.triple, d, rng, 1, config.inner_cut, own_basis=True)[0]
+    sample = sample_L_many(config.triple, d, rng, 1, config.inner_cut)[0]
     return symmetrized_singular_law(sample)
 
 
@@ -393,7 +393,7 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     per_trial = []
     for trial in range(trials):
         gen = RngStream(seed, trial).generator()
-        tail = _rank_one_terms(np.ones(d_prime), d, gen, own_basis=True)
+        tail = _rank_one_terms(np.ones(d_prime), d, gen)
         law = esd(HermitianSample(dim=d, tail=tail))
         per_trial.append(empirical_moments(law, kmax).values)
     per_trial = np.array(per_trial)

@@ -39,16 +39,17 @@ BLOCK = 256
 class _Sample:
     """A d x d matrix sample kept in the parts it was drawn as: a dense block,
     or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*.
-    The tail is kept as its factors (x, u, w), the u_k and w_k being the rows
-    of u and w, or as the d x d sum itself (see _rank_one_terms).  `entries`
-    builds the matrix; `core_spectrum` avoids it.  Factors of n < d rows with
-    n columns, not d, are rows in their own basis (sphere.sample_sphere_vectors):
-    they fix the spectrum, but not the entries."""
+    The tail is the d x d sum itself, or, for n < d terms, the factors
+    (x, u, w, key) of _rank_one_terms: the rows u_k and w_k of u and w in
+    their own n-dimensional span, and the key of the Haar columns that place
+    those spans in C^d, which gives the law of rows drawn in C^d as the
+    model is unitarily invariant.  `entries` builds the matrix;
+    `core_spectrum` needs only x, u and w."""
 
     block: np.ndarray | None = None
     dim: int | None = None
     shift: float = 0.0
-    tail: tuple[np.ndarray, np.ndarray, np.ndarray] | np.ndarray | None = None
+    tail: tuple[np.ndarray, np.ndarray, np.ndarray, int] | np.ndarray | None = None
 
     def __post_init__(self):
         m = self.block
@@ -60,26 +61,28 @@ class _Sample:
             raise ValueError("d must be positive")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray, kept: bool) -> np.ndarray:
-        """The tail's entries from its sum r, in an array of their own when r
-        is the kept tail."""
-        return r.astype(complex) if kept else r
+    def _tail_entries(r: np.ndarray) -> np.ndarray:
+        """The tail's entries from its d x d sum r, in an array of their own."""
+        return r.astype(complex)
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The matrix, built on first use in one d x d array: the tail, its
-        factors multiplied out as (u.T * x) @ w.conj(), then the block or the
-        shift on the diagonal added in place."""
+        """The matrix, built on first use: the tail, factors placed in C^d as
+        V_u C V_w^* with the core C of core_spectrum and d x n Haar columns
+        V_u and V_w (V_w = V_u when w is u) drawn from Philox(key), then the
+        block or the shift on the diagonal added in place."""
         d = self.dim
-        if self.own_basis:
-            raise ValueError("a tail drawn in its own basis has a spectrum but no entries")
         if self.tail is None:
             return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
         if isinstance(self.tail, tuple):
-            x, u, w = self.tail
-            m = self._tail_entries((u.T * x) @ w.conj(), kept=False)
+            x, u, w, key = self.tail
+            gen = np.random.Generator(np.random.Philox(key=key))
+            v_u = _haar_columns(d, x.size, gen)
+            v_w = v_u if w is u else _haar_columns(d, x.size, gen)
+            r = (v_u @ ((u.T * x) @ w.conj())) @ v_w.conj().T
         else:
-            m = self._tail_entries(self.tail, kept=True)
+            r = self.tail
+        m = self._tail_entries(r)
         if self.block is not None:
             m += self.block
         else:
@@ -87,33 +90,21 @@ class _Sample:
         return m
 
     @property
-    def own_basis(self) -> bool:
-        """The tail's rows are given in their own n-dimensional span."""
-        return isinstance(self.tail, tuple) and self.tail[1].shape[1] != self.dim
-
-    @property
     def low_rank(self) -> bool:
-        """No dense block and fewer rank-one terms than the dimension: the
-        spectrum comes from core_spectrum, an n x n problem in place of a
+        """No dense block, and no tail or one kept as factors (n < d terms):
+        the spectrum comes from core_spectrum, an n x n problem in place of a
         d x d one."""
-        return self.block is None and (
-            self.tail is None or isinstance(self.tail, tuple) and self.tail[0].size < self.dim
-        )
+        return self.block is None and not isinstance(self.tail, np.ndarray)
 
     def core_spectrum(self, solve) -> np.ndarray:
         """For a low-rank sample with n rank-one terms: solve(C) on the n x n
         core C = (u.T * x) @ w.conj() of the tail in its rows' own basis, then
         d - n zeros for the rest of the space, all plus the shift.  With
         eigvalsh (w = u) these are the eigenvalues of the sample, with
-        singular values its singular values.  Rows of C^d are first given in
-        their own basis: by the thin QR u.T = Q R, their coordinates are the
-        rows of R.T (one QR when w is u)."""
+        singular values its singular values: the Haar columns are orthonormal."""
         values = np.zeros(self.dim)
-        if self.tail is not None and self.tail[0].size:
-            x, u, w = self.tail
-            if not self.own_basis:
-                r = np.linalg.qr(u.T, mode="r").T
-                u, w = r, (r if w is u else np.linalg.qr(w.T, mode="r").T)
+        if self.tail is not None:
+            x, u, w, _ = self.tail
             values[: x.size] = solve((u.T * x) @ w.conj())
         return values + self.shift
 
@@ -135,7 +126,7 @@ class HermitianSample(_Sample):
             raise ValueError("a Hermitian tail needs w = u")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray, kept: bool) -> np.ndarray:
+    def _tail_entries(r: np.ndarray) -> np.ndarray:
         """(r + r^*) / 2, symmetrized in place in a new array."""
         m = np.conjugate(r.T, out=np.empty(r.shape, dtype=complex))
         m += r
@@ -150,17 +141,21 @@ class HermitianSample(_Sample):
         return np.linalg.eigvalsh(self.entries)
 
 
-def sample_haar_unitary(d: int, rng: RngStream | np.random.Generator) -> np.ndarray:
-    """Haar unitary via QR of a complex Ginibre matrix, with the phases of
-    diag(R) pulled into Q so the law is exactly Haar."""
-    if d < 1:
-        raise ValueError("d must be positive")
-    gen = as_generator(rng)
-    z = standard_complex_normal(gen, (d, d))
+def _haar_columns(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
+    """The first n columns of a Haar unitary of C^d: the thin QR of a d x n
+    complex Ginibre matrix, with the phases of diag(R) pulled into Q so the
+    law is exactly Haar."""
+    z = standard_complex_normal(gen, (d, n))
     q, r = np.linalg.qr(z)
     diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return q * (diag / np.abs(diag))
+
+
+def sample_haar_unitary(d: int, rng: RngStream | np.random.Generator) -> np.ndarray:
+    """A Haar unitary of C^d: all d of its columns (_haar_columns)."""
+    if d < 1:
+        raise ValueError("d must be positive")
+    return _haar_columns(d, d, as_generator(rng))
 
 
 def sample_Q(x, rng: RngStream | np.random.Generator) -> HermitianSample:
@@ -219,38 +214,34 @@ def _draw_jumps(rho: FiniteMeasure, gen: np.random.Generator, n: int) -> np.ndar
     return gen.choice(rho.locations(), size=n, p=ws / ws.sum())
 
 
-def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False,
-                  own_basis=False):
+def _rank_one_sum(rho: FiniteMeasure, lam: float, d: int, gen, pairs=False, summed=False):
     """The tail over a Poisson(d * lam) count n of jumps x_k ~ rho: all n
-    jumps are drawn first, then the rows of their terms (_rank_one_terms)."""
+    jumps are drawn first, then the rows of their terms (_rank_one_terms);
+    None when n is 0."""
     if lam < 0:
         raise ValueError("intensity must be nonnegative")
     n = int(gen.poisson(d * lam))
     if n == 0:
-        u = np.zeros((0, d), dtype=complex)
-        return np.zeros(0), u, u
-    return _rank_one_terms(_draw_jumps(rho, gen, n), d, gen, pairs, own_basis)
+        return None
+    return _rank_one_terms(_draw_jumps(rho, gen, n), d, gen, pairs, summed)
 
 
-def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, own_basis=False):
+def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
     """The tail sum_k x_k u_k w_k^* over the n = x.size jumps x and sphere
-    rows u_k; w is u, or with pairs the independent rows w_k, each drawn
-    right after its u_k.  For n < d the factors (x, u, w) are returned; with
-    own_basis, all the u_k and then all the w_k are drawn, each set in its
-    own basis (sphere.sample_sphere_vectors): n x n factors, the law of the
-    spectrum unchanged.
-    Otherwise the rows are drawn BLOCK jumps at a time, into one buffer, and
-    their products summed into one d x d array: the rows are the same bits in
-    any chunking (rng.py), and only O(d^2 + BLOCK d) entries are held."""
+    rows u_k; w is u, or with pairs the independent rows w_k.  For n < d,
+    unless summed, the factors (x, u, w, key): the u_k, then the w_k, each
+    set in its own basis (sphere.sample_sphere_vectors, n x n), then the key
+    of the Haar columns that place them in C^d (_Sample.entries).
+    Otherwise each w_k is drawn right after its u_k, BLOCK jumps at a time,
+    into one buffer, and their products are summed into one d x d array: the
+    rows are the same bits in any chunking (rng.py), and only
+    O(d^2 + BLOCK d) entries are held."""
     n = x.size
-    k = 2 if pairs else 1
-    if n < d and own_basis:
+    if n < d and not summed:
         u = sample_sphere_vectors(d, n, gen, own_basis=True)
-        return x, u, (sample_sphere_vectors(d, n, gen, own_basis=True) if pairs else u)
-    if n < d:
-        rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
-        u = rows[:, 0]
-        return x, u, (rows[:, 1] if pairs else u)
+        w = sample_sphere_vectors(d, n, gen, own_basis=True) if pairs else u
+        return x, u, w, int(gen.integers(2**63))
+    k = 2 if pairs else 1
     rows = np.empty((k * min(n, BLOCK), d), dtype=complex)  # reused by every block
     r = term = None
     for xb in np.split(x, range(BLOCK, n, BLOCK)):
@@ -267,13 +258,13 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, own_basis=False):
 
 def sample_P_compound_poisson(
     rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator,
-    own_basis: bool = False,
+    summed: bool = False,
 ) -> HermitianSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
-    sphere projections, M = sum_k x_k u_k u_k^* with x_k ~ rho, kept as its
-    factors (in their own basis with own_basis, when n < d) or as their sum
+    sphere projections, M = sum_k x_k u_k u_k^* with x_k ~ rho, kept as
+    their factors when n < d, or, with summed or n >= d, as their sum
     (_rank_one_sum)."""
-    tail = _rank_one_sum(rho, lam, d, as_generator(rng), own_basis=own_basis)
+    tail = _rank_one_sum(rho, lam, d, as_generator(rng), summed=summed)
     return HermitianSample(dim=d, tail=tail)
 
 
@@ -315,16 +306,14 @@ def _decompose(t: LevyTriple, cut: float | None) -> _Decomposition:
 
 def _sample_composite(
     t: LevyTriple, d: int, rng, n_samples: int, inner_cut, gaussian_block, rank_one,
-    own_basis=False,
 ) -> list:
     """The composite sampler of both models: per sample, the sample
     gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
-    factors of rank_one(rho, lam, d, gen), all drawn from one generator.
-    With own_basis, a sample without a dense block draws its tail in its own
-    basis; one with a block keeps the standard rows, as its entries need them.
-    Callers pass the blocks by their module-level names, looked up per call,
-    so wrappers installed on those names (perfbench/tracing.py) are the ones
-    run."""
+    tail of rank_one(rho, lam, d, gen), all drawn from one generator.  A
+    sample with a dense block has its tail summed, as its spectrum needs the
+    entries.  Callers pass the blocks by their module-level names, looked up
+    per call, so wrappers installed on those names (perfbench/tracing.py)
+    are the ones run."""
     if d < 1:
         raise ValueError("d must be positive")
     dec = _decompose(t, inner_cut)
@@ -333,8 +322,8 @@ def _sample_composite(
     for _ in range(n_samples):
         s = gaussian_block(dec.mean, dec.var, d, gen)
         if dec.tail.lam > 0:
-            own = own_basis and s.block is None
-            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen, own_basis=own).tail)
+            summed = s.block is not None
+            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen, summed=summed).tail)
         out.append(s)
     return out
 
@@ -361,17 +350,14 @@ def sample_P_many(
     rng: RngStream | np.random.Generator,
     n_samples: int,
     inner_cut: float | None = None,
-    own_basis: bool = False,
 ) -> list[HermitianSample]:
     """Batch variant of sample_P; the truncation decomposition is computed
-    once.  With own_basis, a sample with no Gaussian block and n < d
-    rank-one terms draws them in their own basis (_sample_composite): its
-    spectrum has the same law, but it has no entries."""
+    once."""
     if d == 1:
         xs = sample_P_scalars(t, rng, n_samples, inner_cut)
         return [HermitianSample(np.array([[x]], dtype=complex)) for x in xs]
     return _sample_composite(t, d, rng, n_samples, inner_cut, sample_P_gaussian,
-                             sample_P_compound_poisson, own_basis)
+                             sample_P_compound_poisson)
 
 
 def sample_P_scalars(

@@ -67,14 +67,14 @@ def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
 
 def sample_L_compound_poisson(
     rho: FiniteMeasure, lam: float, d: int, rng: RngStream | np.random.Generator,
-    own_basis: bool = False,
+    summed: bool = False,
 ) -> ComplexMatrixSample:
     """Compound Poisson case: a Poisson(d * lam) number of weighted rank-one
     outer products x u v^* with x ~ rho and independent sphere vectors u, v,
-    kept as their factors (with own_basis and n < d, the u-set and the v-set
-    each in its own basis) or as their sum (hermitian._rank_one_sum).  The
-    model needs a symmetric law; sample_L_many checks that on the triple."""
-    tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True, own_basis=own_basis)
+    kept as their factors when n < d, or, with summed or n >= d, as their
+    sum (hermitian._rank_one_sum).  The model needs a symmetric law;
+    sample_L_many checks that on the triple."""
+    tail = _rank_one_sum(rho, lam, d, as_generator(rng), pairs=True, summed=summed)
     return ComplexMatrixSample(dim=d, tail=tail)
 
 
@@ -96,29 +96,20 @@ def sample_L_many(
     rng: RngStream | np.random.Generator,
     n_samples: int,
     inner_cut: float | None = None,
-    own_basis: bool = False,
 ) -> list[ComplexMatrixSample]:
-    """Batch variant of sample_L; the decomposition is computed once.  With
-    own_basis, as in sample_P_many, low-rank samples keep the law of their
-    singular values but have no entries."""
+    """Batch variant of sample_L; the decomposition is computed once."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
     return _sample_composite(t, d, rng, n_samples, inner_cut, _ginibre_block,
-                             sample_L_compound_poisson, own_basis)
+                             sample_L_compound_poisson)
 
 
 def singular_values(M: ComplexMatrixSample) -> np.ndarray:
-    """Singular values: a low-rank sample takes those of its n x n core and
-    d - n zeros (core_spectrum); any other a Hermitian eigensolve of M^* M,
-    whose tiny negative eigenvalues are clamped to zero before the square
-    root."""
+    """Singular values, from one SVD solver: of the n x n core and d - n
+    zeros for a low-rank sample (core_spectrum), of the entries otherwise."""
     if M.low_rank:
         return M.core_spectrum(lambda c: np.linalg.svd(c, compute_uv=False))
-    w = np.linalg.eigvalsh(M.entries.conj().T @ M.entries)
-    scale = max(1.0, float(np.max(np.abs(w))) if w.size else 1.0)
-    if np.min(w) < -1e-10 * scale:
-        raise ValueError("gram matrix has a significantly negative eigenvalue")
-    return np.sqrt(np.clip(w, 0.0, None))
+    return np.linalg.svd(M.entries, compute_uv=False)
 
 
 def symmetrized_singular_law(M: ComplexMatrixSample) -> EmpiricalDistribution:

@@ -39,12 +39,11 @@ def _blocked(d, n, pairs, seed):
 
 
 def _one_product(d, n, pairs, seed):
-    """The draws of _rank_one_sum, all rows in one call, and their one product."""
+    """The draws of _rank_one_sum, all rows in one call, in one product."""
     gen = RngStream(seed, n).generator()
     x = _draw_jumps(RHO, gen, n)
     rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
-    u, w = rows[:, 0], rows[:, -1]
-    return (u.T * x) @ w.conj(), (x, u, (w if pairs else u))
+    return (rows[:, 0].T * x) @ rows[:, -1].conj()
 
 
 def _rel(got, want):
@@ -56,7 +55,7 @@ def _rel(got, want):
 @pytest.mark.parametrize("pairs", [False, True])
 def test_one_block_is_the_one_product_byte_for_byte(d, n, pairs):
     r = _blocked(d, n, pairs, 31)
-    want, _ = _one_product(d, n, pairs, 31)
+    want = _one_product(d, n, pairs, 31)
     assert isinstance(r, np.ndarray) and r.shape == (d, d)
     assert r.tobytes() == want.tobytes()
     sample = (ComplexMatrixSample(dim=d, tail=r) if pairs
@@ -82,18 +81,18 @@ def test_the_samplers_sum_n_at_least_d_terms_and_keep_fewer_as_factors(many):
 def test_blocked_spectra_agree_with_the_one_product_sum(d, n):
     # P: eigenvalues; L: squared singular values, both to 1e-12 relative
     r = _blocked(d, n, False, 33)
-    want, factors = _one_product(d, n, False, 33)
+    want = _one_product(d, n, False, 33)
     assert _rel(r, want) <= 1e-12
     p, p_ref = HermitianSample(dim=d, shift=-0.2, tail=r), HermitianSample(dim=d, shift=-0.2,
-                                                                           tail=factors)
+                                                                           tail=want)
     assert not p.low_rank and not p_ref.low_rank
     assert _rel(p.entries, p_ref.entries) <= 1e-12
     assert _rel(esd(p).support_points, esd(p_ref).support_points) <= 1e-12
 
     r = _blocked(d, n, True, 34)
-    want, factors = _one_product(d, n, True, 34)
+    want = _one_product(d, n, True, 34)
     assert _rel(r, want) <= 1e-12
-    q, q_ref = ComplexMatrixSample(dim=d, tail=r), ComplexMatrixSample(dim=d, tail=factors)
+    q, q_ref = ComplexMatrixSample(dim=d, tail=r), ComplexMatrixSample(dim=d, tail=want)
     assert _rel(q.entries, q_ref.entries) <= 1e-12
     got, ref = np.sort(singular_values(q)) ** 2, np.sort(singular_values(q_ref)) ** 2
     assert _rel(got, ref) <= 1e-12

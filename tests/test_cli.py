@@ -171,19 +171,19 @@ def test_run_agrees_across_blas_thread_counts(tmp_path):
 
 
 # Triples whose tails have intensity 0.5, so n ~ Poisson(25) < d = 50 terms:
-# with Gaussian mass 0.5 (a block plus a low-rank tail, which keeps the
-# standard rows) and without (a low-rank sample, drawn in its own basis)
+# with Gaussian mass 0.5 (a block plus a low-rank tail, which is summed) and
+# without (a low-rank sample, drawn in its own basis)
 LOW_RANK_RUNS = [
-    ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}, False),
-    ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]}, False),
-    ("hermitian", {"preset": "poisson", "lambda": 0.5}, True),
-    ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.125], [-1, 0.125]]}, True),
+    ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}),
+    ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]}),
+    ("hermitian", {"preset": "poisson", "lambda": 0.5}),
+    ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.125], [-1, 0.125]]}),
 ]
 
 
-@pytest.mark.parametrize("model, spec, own_basis", LOW_RANK_RUNS,
+@pytest.mark.parametrize("model, spec", LOW_RANK_RUNS,
                          ids=["block-P", "block-L", "low-rank-P", "low-rank-L"])
-def test_run_rows_are_the_samplers_spectra(model, spec, own_basis):
+def test_run_rows_are_the_samplers_spectra(model, spec):
     d, trials = 50, 3
     doc = config(model=model, triple=spec, dims=[d], trials_per_dim=trials,
                  outputs={"moments": {"kmax": 4}})
@@ -193,13 +193,15 @@ def test_run_rows_are_the_samplers_spectra(model, spec, own_basis):
     for t in range(trials):
         rng = RngStream(doc["seed"], t)
         if model == "hermitian":
-            sample = sample_P_many(triple, d, rng, 1, own_basis=own_basis)[0]
+            sample = sample_P_many(triple, d, rng, 1)[0]
             law = esd(sample)
         else:
-            sample = sample_L_many(triple, d, rng, 1, own_basis=own_basis)[0]
+            sample = sample_L_many(triple, d, rng, 1)[0]
             law = symmetrized_singular_law(sample)
-        assert isinstance(sample.tail, tuple) and 0 < sample.tail[0].size < d
-        assert (sample.block is None) == own_basis == sample.own_basis
+        if sample.block is None:
+            assert sample.low_rank and 0 < sample.tail[0].size < d
+        else:
+            assert not sample.low_rank and isinstance(sample.tail, np.ndarray)
         per_trial.append(empirical_moments(law, 4).values)
     want = np.mean(per_trial, axis=0)
     assert [r["mean"] for r in report.rows] == [float(m) for m in want]
@@ -605,13 +607,16 @@ def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, 
 # hash was recorded again (from 8712d652...) when the pooled law became the
 # uniform law on its N points: its weight 1/N had been (1/n) / sum, which
 # differs in the last bit here, and the d = 20 pooled distance row went
-# from 0.06711547587602497 to 0.067115475876025
+# from 0.06711547587602497 to 0.067115475876025.  The L hash was recorded
+# again (from b0eaa32b...) when dense singular values came to be taken by an
+# SVD, not by the eigenvalues of M^* M: the rows moved in their last bits,
+# m4 at d = 20 from 1.9701864618609468 to 1.9701864618609477, for one
 RUN_ROWS = [
     ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]),
      "9ed3101363e9f25c9be72a28afd1e199ceb2ac20997f7b8e2a3fbabdc1e89937"),
     ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]},
      ("semicircle", [0.0, 1.0]),
-     "b0eaa32b70ae2ee737d6174eb0bf603450d7acb6470a3be39d16feeb5748bdc3"),
+     "0b5b7269df7880378600a7caa9d9984276362303d851fec2acb2e8f5352e3d6b"),
 ]
 
 
@@ -656,20 +661,42 @@ def test_projection_experiment_holds_O_d2_plus_block_d():
     assert peak < 6 * (d * d + BLOCK * d) * 16
 
 
-@pytest.mark.parametrize("model, spec", [
+LOW_RANK_SPECS = [
     ("hermitian", {"preset": "poisson", "lambda": 0.01}),
     ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.005], [-1, 0.005]]}),
-])
-def test_low_rank_run_holds_O_n2_plus_d(model, spec):
-    # n ~ Poisson(40) terms at d = 4000 and no block: the rows in their own
-    # basis are n^2 entries, the spectrum and its statistics a few d; one
-    # d x d array would be 256 MB, and rows in C^d 2.6 MB
+]
+
+
+def _direct_spectrum(model, spec, d):
+    """The spectrum of one sample_*_many draw, as a direct caller takes it."""
+    triple, rng = triple_from_spec(spec), RngStream(0, 0)
+    if model == "hermitian":
+        return esd(sample_P_many(triple, d, rng, 1)[0])
+    return symmetrized_singular_law(sample_L_many(triple, d, rng, 1)[0])
+
+
+@pytest.mark.parametrize(
+    "model, spec, direct",
+    [(model, spec, direct) for direct in (False, True) for model, spec in LOW_RANK_SPECS],
+    ids=["hermitian-spec0", "nonhermitian-spec1", "hermitian-direct", "nonhermitian-direct"],
+)
+def test_low_rank_run_holds_O_n2_plus_d(model, spec, direct):
+    # n ~ Poisson(40) terms at d = 4000 and no block, in a run or in a direct
+    # sampler call: the rows in their own basis are n^2 entries, the spectrum
+    # and its statistics a few d; one d x d array would be 256 MB, and rows
+    # in C^d 2.6 MB
     d = 4000
     doc = config(model=model, triple=spec, dims=[d], trials_per_dim=1)
-    run(ExperimentConfig.from_dict(dict(doc, dims=[50])))  # warm caches and imports
+    if direct:
+        _direct_spectrum(model, spec, 50)  # warm caches and imports
+    else:
+        run(ExperimentConfig.from_dict(dict(doc, dims=[50])))
     tracemalloc.start()
     try:
-        run(ExperimentConfig.from_dict(doc))
+        if direct:
+            _direct_spectrum(model, spec, d)
+        else:
+            run(ExperimentConfig.from_dict(doc))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

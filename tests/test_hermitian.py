@@ -121,7 +121,7 @@ def test_composite_draw_order_is_gaussian_block_then_rank_ones():
     expected, tails = [], []
     for _ in range(2):
         m = sample_P_gaussian(dec.mean, dec.var, d, gen).entries
-        tails.append(sample_P_compound_poisson(rho, dec.tail.lam, d, gen).entries)
+        tails.append(sample_P_compound_poisson(rho, dec.tail.lam, d, gen, summed=True).entries)
         expected.append(m + tails[-1])
     got = sample_P_many(t, d, RngStream(12, 0), 2)
     assert all(np.array_equal(g.entries, e) for g, e in zip(got, expected))

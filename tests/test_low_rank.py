@@ -1,6 +1,7 @@
-"""The low-rank path: samples keep their rank-one tails as factors, solve
-their spectra on an n x n core when there is no dense block and n < d, and
-still build the same matrices, byte for byte."""
+"""The low-rank path: samples with no dense block and n < d rank-one terms
+keep their tails as factors in their own basis, solve their spectra on an
+n x n core, and still have entries, placed in C^d by keyed Haar frames;
+every other sample builds the same matrices, byte for byte."""
 
 import hashlib
 import json
@@ -8,12 +9,14 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import stats
 
 from bplab.cli import main
-from bplab.hermitian import (HermitianSample, _decompose, _draw_jumps, _rank_one_terms,
-                             sample_P_many)
+from bplab.hermitian import (HermitianSample, _decompose, _draw_jumps, _haar_columns,
+                             _rank_one_terms, sample_P_gaussian, sample_P_many)
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
-from bplab.nonhermitian import ComplexMatrixSample, sample_L_many, singular_values
+from bplab.nonhermitian import (ComplexMatrixSample, _ginibre_block, sample_L_many,
+                                singular_values)
 from bplab.rng import RngStream, standard_complex_normal
 from bplab.spectra import esd
 from bplab.sphere import sample_sphere_vectors
@@ -29,11 +32,13 @@ def _symmetric(gauss, w):
 
 # SHA-256 of the entries' bytes, recorded (numpy 2.4.6, scipy-openblas 0.3.31,
 # x86-64) with the samplers that multiplied the rank-one sum out as they drew it.
+# P_BYTES (n < d terms) were recorded again when such tails came to be drawn
+# in their own basis, their entries placed in C^d by keyed Haar columns.
 P_BYTES = {
-    0: "a415d0fb79fecf6f2914a21edd4cefb3eaff583360a204bf245632cd2a8e0579",
-    1: "56e0d28e0bace791db8c8e59491d3388510904daf50d8f34c4d3cc2944d0c265",
-    2: "875e12d6441e5e18ad38e722f9b56fadc23575d7265fc89dba15f421b6a6bf26",
-    3: "573772a5d75f5738dc7034ee9f40f37508984908f81e33879c41853ff43cd42e",
+    0: "f3311303e997858c54cbca8c61c351a27000812310f807d61dd7a3c265335584",
+    1: "8eb049d0affb4bca4488426afe2a49ea7ad0dbe4af32ee494d233f0dc29f9699",
+    2: "9fbf02a1adb1470e384b9ae40cb482510185512f29fcf24a7659405594d50ae3",
+    3: "5117715f228c660ba1ccaef812db51fbc97ada9cf6751910a10eaa7097417cc5",
 }
 L_BYTES = {
     0: "d03fecc7fcd7e75bf0f44ec40d9453308287170566e4c1cbc1cc9a405f5669d2",
@@ -41,10 +46,11 @@ L_BYTES = {
     2: "62cb44361cbb8d8a4a01218a8092742fc675a46db560c9afde18644c4f6a7f1c",
     3: "fb1417195441cf68d3b7e20470a4351374d89266b3e5366662f05d725dbe10a2",
 }
-# ... and of the stdout of `bplab sample <spec> --dim 12 --seed 3 --model <model>`
+# ... and of the stdout of `bplab sample <spec> --dim 12 --seed 3 --model <model>`,
+# the first (n < d terms) recorded again as P_BYTES were
 CLI_BYTES = [
     ({"preset": "poisson", "lambda": 0.5}, "hermitian",
-     "c0cf26f81174d2aa56893199175a5dbef3af728e57779acced37d7a3dc9eb67f"),
+     "bb7059d932f3e27be85ef867d99867d97add1a3e2edcc3e44d88b1e4881ef426"),
     (MIXED_SPEC, "hermitian",
      "1514ff4d0afc9f7a1532e8ec70985092da64bbf486d7db6857c91dc5ddd1e76d"),
     (MIXED_SPEC, "nonhermitian",
@@ -57,23 +63,33 @@ def _sha(data: bytes) -> str:
 
 
 def _multiplied_out(triple, model, d, rng):
-    """A pure compound-Poisson sample (n > 0) as it was built before tails
-    were kept as factors: shift * I (zeros for L) plus the rank-one sum of
-    the sampler's draws, symmetrized for P."""
+    """A pure compound-Poisson sample (n > 0) multiplied out from the
+    sampler's draws: shift * I (zeros for L) plus the rank-one sum,
+    symmetrized for P.  n >= d standard rows are multiplied out in one
+    product; n < d rows, drawn in their own basis, are placed in C^d by the
+    Haar columns of the key drawn after them."""
     dec = _decompose(triple, None)
     gen = rng.generator()
     n = int(gen.poisson(d * dec.tail.lam))
     x = _draw_jumps(dec.tail.rho, gen, n)
     k = 1 if model == "hermitian" else 2
-    rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
-    r = (rows[:, 0].T * x) @ rows[:, -1].conj()
+    if n < d:
+        u = sample_sphere_vectors(d, n, gen, own_basis=True)
+        w = u if k == 1 else sample_sphere_vectors(d, n, gen, own_basis=True)
+        frames = np.random.Generator(np.random.Philox(key=int(gen.integers(2**63))))
+        v_u = _haar_columns(d, n, frames)
+        v_w = v_u if k == 1 else _haar_columns(d, n, frames)
+        r = (v_u @ ((u.T * x) @ w.conj())) @ v_w.conj().T
+    else:
+        rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
+        r = (rows[:, 0].T * x) @ rows[:, -1].conj()
     if model == "hermitian":
         return dec.mean * np.eye(d, dtype=complex) + (r + r.conj().T) / 2.0
     return np.zeros((d, d), dtype=complex) + r
 
 
-def _skip_unless_recorded_bytes(old_bytes: bytes, recorded: str) -> None:
-    if _sha(old_bytes) != recorded:
+def _skip_unless_recorded_bytes(want: bytes, recorded: str) -> None:
+    if _sha(want) != recorded:
         pytest.skip("this BLAS rounds the rank-one product otherwise than the build "
                     "that recorded the hashes")
 
@@ -88,9 +104,9 @@ def test_sampled_entries_keep_their_bytes(model, t):
         else (MIXED, sample_L_many, L_BYTES[t])
     )
     got = many(triple, 60, RngStream(5, t), 1)[0].entries.tobytes()
-    old = _multiplied_out(triple, model, 60, RngStream(5, t)).tobytes()
-    assert got == old
-    _skip_unless_recorded_bytes(old, recorded)
+    want = _multiplied_out(triple, model, 60, RngStream(5, t)).tobytes()
+    assert got == want
+    _skip_unless_recorded_bytes(want, recorded)
     assert _sha(got) == recorded
 
 
@@ -100,16 +116,15 @@ def test_cli_sample_keeps_its_bytes(spec, model, recorded, capsys):
                  "--model", model]) == 0
     got = capsys.readouterr().out
     m = _multiplied_out(triple_from_spec(spec), model, 12, RngStream(3, 0))
-    old = json.dumps({"real": m.real.tolist(), "imag": m.imag.tolist()}) + "\n"
-    assert got == old
-    _skip_unless_recorded_bytes(old.encode(), recorded)
+    want = json.dumps({"real": m.real.tolist(), "imag": m.imag.tolist()}) + "\n"
+    assert got == want
+    _skip_unless_recorded_bytes(want.encode(), recorded)
     assert _sha(got.encode()) == recorded
 
 
 def _tail(d, n, jumps, gen, pairs):
-    x = gen.choice(jumps, size=n)
-    u = sample_sphere_vectors(d, n, gen)
-    return x, u, (sample_sphere_vectors(d, n, gen) if pairs else u)
+    """The tail of n jumps drawn from jumps: factors for n < d, else the sum."""
+    return _rank_one_terms(gen.choice(jumps, size=n), d, gen, pairs)
 
 
 # (d, n): n = 0, n = d - 1 and n >= d at each d, and one n < d - 1
@@ -137,9 +152,8 @@ def test_eigenvalues_agree_with_the_dense_eigensolve(d, n, jumps, shift):
 
 @pytest.mark.parametrize("d, n", SHAPES)
 def test_singular_values_agree_with_the_dense_path(d, n):
-    # squared singular values: the dense path's sqrt(clip(eigvalsh(M^* M)))
-    # leaves null singular values of about 1e-8 s_max, where the core gives
-    # exact zeros
+    # squared singular values: the dense path's SVD leaves null singular
+    # values of about 1e-16 s_max, where the core gives exact zeros
     gen = RngStream(22, 1000 * d + n).generator()
     sample = ComplexMatrixSample(dim=d, tail=_tail(d, n, [-2.5, -1.0, 1.0, 2.5], gen, True))
     dense = ComplexMatrixSample(sample.entries)
@@ -157,12 +171,10 @@ def test_singular_values_agree_with_the_dense_path(d, n):
     st.integers(2, 60).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, d - 1))),
     st.sampled_from(["positive", "negative", "mixed"]),
     st.booleans(),
-    st.booleans(),
     st.integers(0, 2**32 - 1),
 )
-def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, own_basis, seed):
-    # with own_basis the factors are rows in their own basis, and the oracle
-    # is the dense path on the rows that they stand for, embedded in C^d
+def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, seed):
+    # the oracle is the dense path on the sample's own entries
     d, n = shape
     gen = RngStream(seed, 26).generator()
     x = gen.uniform(0.01, 10.0, n)
@@ -170,23 +182,15 @@ def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, own_basis, see
         x = -x
     elif signs == "mixed":
         x *= gen.choice([-1.0, 1.0], n)
-    if own_basis:
-        u, w = (sample_sphere_vectors(d, n, gen, own_basis=True) for _ in range(2))
-        embedded_u, embedded_w = u @ _isometry(d, n, gen), w @ _isometry(d, n, gen)
-    else:
-        _, u, w = _tail(d, n, [1.0], gen, pairs)
-        embedded_u, embedded_w = u, w
+    tail = _rank_one_terms(x, d, gen, pairs)
     if pairs:  # squared singular values (test_singular_values_agree_with_the_dense_path)
-        sample = ComplexMatrixSample(dim=d, tail=(x, u, w))
-        entries = ComplexMatrixSample(dim=d, tail=(x, embedded_u, embedded_w)).entries
+        sample = ComplexMatrixSample(dim=d, tail=tail)
         got, want = (np.sort(singular_values(m)) ** 2
-                     for m in (sample, ComplexMatrixSample(entries)))
+                     for m in (sample, ComplexMatrixSample(sample.entries)))
     else:
-        shift = gen.uniform(-1.0, 1.0)
-        sample = HermitianSample(dim=d, shift=shift, tail=(x, u, u))
-        dense = HermitianSample(dim=d, shift=shift, tail=(x, embedded_u, embedded_u))
-        got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(dense.entries)
-    assert sample.low_rank and sample.own_basis == own_basis and got.size == d
+        sample = HermitianSample(dim=d, shift=gen.uniform(-1.0, 1.0), tail=tail)
+        got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(sample.entries)
+    assert sample.low_rank and got.size == d
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
@@ -215,26 +219,29 @@ def _isometry(d, n, gen):
 @pytest.mark.parametrize("d, n", [(2, 1), (50, 1), (50, 17), (50, 49), (400, 200)])
 @pytest.mark.parametrize("jumps", [[1.0], [-2.0, -0.5], [-2.5, -1.0, 1.0, 2.5]])
 def test_own_basis_spectra_are_those_of_the_embedded_rows(d, n, jumps):
-    # the oracle is the dense path on the embedded rows' entries
+    # the oracle is the dense path on the rows embedded in C^d by other
+    # isometries than the sample's Haar columns, summed into array tails
     gen = RngStream(42, 1000 * d + n).generator()
     x = gen.choice(jumps, size=n)
-    own_u, own_w = (sample_sphere_vectors(d, n, gen, own_basis=True) for _ in range(2))
-    u, w = own_u @ _isometry(d, n, gen), own_w @ _isometry(d, n, gen)
-    own = HermitianSample(dim=d, shift=0.3, tail=(x, own_u, own_u))
-    assert own.own_basis and own.low_rank
-    got = np.sort(own.eigenvalues())
-    want = np.linalg.eigvalsh(HermitianSample(dim=d, shift=0.3, tail=(x, u, u)).entries)
+    p = HermitianSample(dim=d, shift=0.3, tail=_rank_one_terms(x, d, gen))
+    q = ComplexMatrixSample(dim=d, tail=_rank_one_terms(x, d, gen, pairs=True))
+    assert p.low_rank and q.low_rank
+    u = p.tail[1] @ _isometry(d, n, gen)
+    got = np.sort(p.eigenvalues())
+    want = np.linalg.eigvalsh(HermitianSample(dim=d, shift=0.3, tail=(u.T * x) @ u.conj()).entries)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    got = np.sort(singular_values(ComplexMatrixSample(dim=d, tail=(x, own_u, own_w))))
-    want = np.linalg.svd(ComplexMatrixSample(dim=d, tail=(x, u, w)).entries, compute_uv=False)
+    u, w = q.tail[1] @ _isometry(d, n, gen), q.tail[2] @ _isometry(d, n, gen)
+    got = np.sort(singular_values(q))
+    want = np.linalg.svd(ComplexMatrixSample(dim=d, tail=(u.T * x) @ w.conj()).entries,
+                         compute_uv=False)
     assert np.max(np.abs(got - want[::-1])) <= 1e-12 * np.max(want)
 
 
-def _spectral_moments(x, d, gen, pairs, own_basis):
+def _spectral_moments(x, d, gen, pairs, summed):
     """Moments 2-4 of the eigenvalues of a P tail (its first is sum(x) / d
     for any rows), or moments 1-3 of the squared singular values of an L
     tail."""
-    tail = _rank_one_terms(x, d, gen, pairs, own_basis)
+    tail = _rank_one_terms(x, d, gen, pairs, summed)
     if pairs:
         s2 = singular_values(ComplexMatrixSample(dim=d, tail=tail)) ** 2
         return [np.mean(s2**k) for k in (1, 2, 3)]
@@ -249,39 +256,67 @@ def _spectral_moments(x, d, gen, pairs, own_basis):
     ids=["one-sign-P", "mixed-sign-P", "one-sign-L", "mixed-sign-L"],
 )
 def test_own_basis_spectra_have_the_law_of_standard_rows(jumps, pairs):
-    # the same jumps with own-basis and with standard rows, trial by trial:
-    # the mean difference of each moment is zero within 4 standard errors
+    # the same jumps with own-basis and with standard (summed) rows, trial by
+    # trial: the mean difference of each moment is zero within 4 standard errors
     d, n, trials = 10, 7, 3000
     gen = RngStream(43, len(jumps) + 10 * pairs).generator()
     diffs = []
     for _ in range(trials):
         x = gen.choice(jumps, size=n)
-        diffs.append(np.subtract(_spectral_moments(x, d, gen, pairs, True),
-                                 _spectral_moments(x, d, gen, pairs, False)))
+        diffs.append(np.subtract(_spectral_moments(x, d, gen, pairs, False),
+                                 _spectral_moments(x, d, gen, pairs, True)))
     diffs = np.array(diffs)
     stderr = diffs.std(axis=0, ddof=1) / np.sqrt(trials)
     assert np.all(np.abs(diffs.mean(axis=0)) <= 4.0 * stderr)
 
 
-def test_own_basis_samples_have_no_entries():
-    p = sample_P_many(poisson(0.5), 60, RngStream(5, 0), 1, own_basis=True)[0]
-    q = sample_L_many(_symmetric(0.0, 0.125), 60, RngStream(5, 0), 1, own_basis=True)[0]
-    for sample in (p, q):
-        assert sample.own_basis and sample.low_rank
-        with pytest.raises(ValueError, match="own basis"):
-            sample.entries
+@pytest.mark.parametrize("pairs", [False, True], ids=["P", "L"])
+def test_own_basis_entries_have_the_law_of_standard_rows(pairs):
+    # four entry statistics of n = 3 one-sign terms at d = 6, from own-basis
+    # rows placed by Haar columns and from standard rows summed in C^d, each
+    # set from its own stream: a two-sample Kolmogorov-Smirnov test of each
+    # statistic, at a false-alarm rate of 1e-4 over the 8 tests of both models
+    d, n, draws = 6, 3, 5000
+    kind = ComplexMatrixSample if pairs else HermitianSample
+    by_rows = []
+    for summed in (False, True):
+        gen = RngStream(45, 2 * pairs + summed).generator()
+        values = []
+        for _ in range(draws):
+            x = gen.choice([0.5, 2.0], size=n)
+            m = kind(dim=d, tail=_rank_one_terms(x, d, gen, pairs, summed)).entries
+            values.append([m[0, 0].real, m[0, 1].real, m[2, 1].imag, abs(m[d - 1, 0])])
+        by_rows.append(np.array(values))
+    own, standard = by_rows
+    for k in range(own.shape[1]):
+        assert stats.ks_2samp(own[:, k], standard[:, k]).pvalue >= 1e-4 / 8
 
 
-@pytest.mark.parametrize(
-    "triple, d",
-    [(_symmetric(0.5, 0.125), 50),  # a block and n < d: the standard rows
-     (_symmetric(0.0, 0.75), 20),  # n >= d: the blocked sum
-     (_symmetric(0.0, 0.125), 1)],  # d = 1
-)
-def test_own_basis_leaves_other_samples_alone(triple, d):
-    for many in (sample_P_many, sample_L_many):
-        for t in range(3):
-            got = many(triple, d, RngStream(44, t), 1, own_basis=True)[0]
-            want = many(triple, d, RngStream(44, t), 1)[0]
-            assert not got.own_basis
-            assert got.entries.tobytes() == want.entries.tobytes()
+def test_own_basis_core_spectra_are_those_of_their_entries():
+    p = sample_P_many(poisson(0.5), 60, RngStream(5, 0), 1)[0]
+    q = sample_L_many(_symmetric(0.0, 0.125), 60, RngStream(5, 0), 1)[0]
+    assert p.low_rank and q.low_rank and isinstance(p.tail, tuple) and isinstance(q.tail, tuple)
+    got, want = np.sort(p.eigenvalues()), np.linalg.eigvalsh(p.entries)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    got, want = np.sort(singular_values(q)), np.sort(np.linalg.svd(q.entries, compute_uv=False))
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+
+@pytest.mark.parametrize("model", ["hermitian", "nonhermitian"])
+def test_a_block_and_fewer_than_d_terms_keep_their_entries_bytes(model):
+    # Gaussian mass 0.5 and n ~ Poisson(25) < d = 50 terms: the block, then
+    # the tail's standard rows in one product (at most BLOCK of them), summed
+    triple, d = _symmetric(0.5, 0.125), 50
+    hermitian = model == "hermitian"
+    dec = _decompose(triple, None)
+    for t in range(3):
+        got = (sample_P_many if hermitian else sample_L_many)(triple, d, RngStream(44, t), 1)[0]
+        gen = RngStream(44, t).generator()
+        block = (sample_P_gaussian if hermitian else _ginibre_block)(dec.mean, dec.var, d, gen)
+        n = int(gen.poisson(d * dec.tail.lam))
+        x = _draw_jumps(dec.tail.rho, gen, n)
+        rows = sample_sphere_vectors(d, (1 if hermitian else 2) * n, gen).reshape(n, -1, d)
+        r = (rows[:, 0].T * x) @ rows[:, -1].conj()
+        want = (r + r.conj().T) / 2.0 + block.entries if hermitian else r + block.entries
+        assert 0 < n < d and not got.low_rank
+        assert got.entries.tobytes() == want.tobytes()

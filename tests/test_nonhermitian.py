@@ -81,7 +81,7 @@ def test_composite_draw_order_is_ginibre_block_then_rank_ones():
     expected, tails = [], []
     for _ in range(2):
         m = np.zeros((d, d), dtype=complex) + sample_L_gaussian(d, gen, scale=dec.var).entries
-        tails.append(sample_L_compound_poisson(rho, dec.tail.lam, d, gen).entries)
+        tails.append(sample_L_compound_poisson(rho, dec.tail.lam, d, gen, summed=True).entries)
         expected.append(m + tails[-1])
     got = sample_L_many(t, d, RngStream(13, 0), 2, inner_cut=0.5)
     assert all(np.array_equal(g.entries, e) for g, e in zip(got, expected))
