@@ -157,14 +157,17 @@ def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str]
     each (hermitian._rank_one_terms).  Memory, checked at the largest dim:
     the d x d matrix, the n jump values and the k d min(n, max(d, BLOCK))
     row entries held at once, a bound on the own-basis factors and Haar
-    columns of n < d terms and on one block of BLOCK rows of a summed tail;
-    over MAX_ENTRIES names fields[0] (the dims) when the matrix alone is
-    over the budget and fields[2] (the terms) otherwise.  Time: each trial
-    costs, at each dim, d^3 multiply-adds for the spectrum, k n d^2 for the
-    rank-one products and _TRIAL_FLOPS besides; trials times that sum over
-    MAX_FLOPS names fields[0] when one trial is over the budget without its
-    terms, fields[1] (the trial count) when the trials are, and fields[2]
-    otherwise."""
+    columns of n < d terms and on one block of BLOCK rows of a summed tail.
+    d^2 counts one matrix: while a summed tail is drawn, a sample holds up
+    to three (its block, the sum and one product), and a block sample keeps
+    one once the sum is added into its block; so memory is a small multiple
+    of the budget.  Over MAX_ENTRIES names fields[0] (the dims) when the
+    matrix alone is over the budget and fields[2] (the terms) otherwise.
+    Time: each trial costs, at each dim, d^3 multiply-adds for the spectrum,
+    k n d^2 for the rank-one products and _TRIAL_FLOPS besides; trials times
+    that sum over MAX_FLOPS names fields[0] when one trial is over the
+    budget without its terms, fields[1] (the trial count) when the trials
+    are, and fields[2] otherwise."""
     d = dims[-1]
     if d * d > MAX_ENTRIES:  # before any float: d may be too large for one
         raise ConfigError(fields[0], f"d = {d} needs d^2 complex entries, "

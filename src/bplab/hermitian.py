@@ -38,8 +38,9 @@ BLOCK = 256
 @dataclass(frozen=True, eq=False)
 class _Sample:
     """A d x d matrix sample kept in the parts it was drawn as: a dense block,
-    or shift * I where there is none, plus a rank-one tail sum_k x_k u_k w_k^*.
-    The tail is the d x d sum itself, or, for n < d terms, the factors
+    or shift * I plus a rank-one tail sum_k x_k u_k w_k^*.  A tail drawn for
+    a block is added into it in place (_with_tail), so a sample keeps a tail
+    only where it has no block.  The tail is the d x d sum itself, or, for n < d terms, the factors
     (x, u, w, key) of _rank_one_terms: the rows u_k and w_k of u and w in
     their own n-dimensional span, and the key of the Haar columns that place
     those spans in C^d, which gives the law of rows drawn in C^d as the
@@ -56,37 +57,54 @@ class _Sample:
         if m is not None:
             if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
                 raise ValueError("entries must be a square matrix")
+            if self.tail is not None:
+                raise ValueError("a tail is added into the block, not kept beside it")
             object.__setattr__(self, "dim", m.shape[0])
         elif self.dim is None or self.dim < 1:
             raise ValueError("d must be positive")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray) -> np.ndarray:
-        """The tail's entries from its d x d sum r, in an array of their own."""
-        return r.astype(complex)
+    def _tail_entries(r: np.ndarray, fresh: bool) -> np.ndarray:
+        """The tail's entries from its d x d sum r: r itself when it is a
+        fresh array, a copy when it is the kept tail."""
+        return r if fresh else r.copy()
+
+    def _add_tail(self, r: np.ndarray) -> None:
+        """Add the tail's entries from its d x d sum r into the block in place."""
+        np.add(self.block, r, out=self.block)
+
+    def _with_tail(self, tail):
+        """This sample plus a rank-one tail (_rank_one_terms): kept as the
+        tail when there is no block, otherwise added into the block, which
+        holds the same bits as block + tail entries and leaves the sample one
+        d x d array."""
+        if self.block is None:
+            return replace(self, tail=tail)
+        if tail is not None:
+            self._add_tail(tail)
+        return self
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The matrix, built on first use: the tail, factors placed in C^d as
+        """The matrix, built on first use: the block, or the tail plus the
+        shift on the diagonal, added in place.  Factors are placed in C^d as
         V_u C V_w^* with the core C of core_spectrum and d x n Haar columns
-        V_u and V_w (V_w = V_u when w is u) drawn from Philox(key), then the
-        block or the shift on the diagonal added in place."""
+        V_u and V_w (V_w = V_u when w is u) drawn from Philox(key)."""
         d = self.dim
         if self.tail is None:
             return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
         if isinstance(self.tail, tuple):
             x, u, w, key = self.tail
             gen = np.random.Generator(np.random.Philox(key=key))
-            v_u = _haar_columns(d, x.size, gen)
-            v_w = v_u if w is u else _haar_columns(d, x.size, gen)
-            r = (v_u @ ((u.T * x) @ w.conj())) @ v_w.conj().T
+            v = _haar_columns(d, x.size, gen)  # V_u
+            left = v @ ((u.T * x) @ w.conj())
+            if w is not u:  # V_u is no longer needed when V_w is drawn
+                del v
+                v = _haar_columns(d, x.size, gen)
+            m = self._tail_entries(left @ np.conjugate(v, out=v).T, fresh=True)
         else:
-            r = self.tail
-        m = self._tail_entries(r)
-        if self.block is not None:
-            m += self.block
-        else:
-            m[np.diag_indices(d)] += self.shift
+            m = self._tail_entries(self.tail, fresh=False)
+        m[np.diag_indices(d)] += self.shift
         return m
 
     @property
@@ -126,12 +144,23 @@ class HermitianSample(_Sample):
             raise ValueError("a Hermitian tail needs w = u")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray) -> np.ndarray:
+    def _tail_entries(r: np.ndarray, fresh: bool) -> np.ndarray:
         """(r + r^*) / 2, symmetrized in place in a new array."""
         m = np.conjugate(r.T, out=np.empty(r.shape, dtype=complex))
         m += r
         m /= 2.0
         return m
+
+    def _add_tail(self, r: np.ndarray) -> None:
+        """block += (r + r^*) / 2, BLOCK rows at a time.  The block stays
+        exactly Hermitian, as (r + r^*) / 2 is: conjugation is a sign flip."""
+        d = self.dim
+        buf = np.empty((min(d, BLOCK), d), dtype=complex)
+        for i in range(0, d, BLOCK):
+            t = np.conjugate(r[:, i : i + BLOCK].T, out=buf[: min(BLOCK, d - i)])
+            t += r[i : i + BLOCK]
+            t /= 2.0
+            self.block[i : i + BLOCK] += t
 
     def eigenvalues(self) -> np.ndarray:
         """From the n x n core when the sample is low rank, otherwise from a
@@ -235,7 +264,9 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
     Otherwise each w_k is drawn right after its u_k, BLOCK jumps at a time,
     into one buffer, and their products are summed into one d x d array: the
     rows are the same bits in any chunking (rng.py), and only
-    O(d^2 + BLOCK d) entries are held."""
+    O(d^2 + BLOCK d) entries are held.  The buffer is worked in place: with
+    pairs the u_k are scaled by x_k there, and the w_k are conjugated there,
+    which are the bits of u.T * x and w.conj()."""
     n = x.size
     if n < d and not summed:
         u = sample_sphere_vectors(d, n, gen, own_basis=True)
@@ -243,16 +274,22 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
         return x, u, w, int(gen.integers(2**63))
     k = 2 if pairs else 1
     rows = np.empty((k * min(n, BLOCK), d), dtype=complex)  # reused by every block
-    r = term = None
+    r = None
     for xb in np.split(x, range(BLOCK, n, BLOCK)):
         m = k * xb.size
         block = sample_sphere_vectors(d, m, gen, rows[:m]).reshape(xb.size, k, d)
         u, w = block[:, 0], block[:, -1]
+        if pairs:
+            u *= xb[:, None]
+            xu = u.T
+        else:  # w is u: the one (d, BLOCK) temporary
+            xu = u.T * xb
+        np.conjugate(w, out=w)
         if r is None:  # assigned, not added to zeros: one block is one product
-            r = (u.T * xb) @ w.conj()
+            r = xu @ w
         else:
-            term = np.matmul(u.T * xb, w.conj(), out=term)
-            r += term
+            r += xu @ w
+        del xu  # like the product, freed before the next block's rows are drawn
     return r
 
 
@@ -311,9 +348,10 @@ def _sample_composite(
     gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
     tail of rank_one(rho, lam, d, gen), all drawn from one generator.  A
     sample with a dense block has its tail summed, as its spectrum needs the
-    entries.  Callers pass the blocks by their module-level names, looked up
-    per call, so wrappers installed on those names (perfbench/tracing.py)
-    are the ones run."""
+    entries, and added into the block as soon as it is drawn (_with_tail),
+    so that one d x d array is kept.  Callers pass the blocks by their
+    module-level names, looked up per call, so wrappers installed on those
+    names (perfbench/tracing.py) are the ones run."""
     if d < 1:
         raise ValueError("d must be positive")
     dec = _decompose(t, inner_cut)
@@ -323,7 +361,7 @@ def _sample_composite(
         s = gaussian_block(dec.mean, dec.var, d, gen)
         if dec.tail.lam > 0:
             summed = s.block is not None
-            s = replace(s, tail=rank_one(dec.tail.rho, dec.tail.lam, d, gen, summed=summed).tail)
+            s = s._with_tail(rank_one(dec.tail.rho, dec.tail.lam, d, gen, summed=summed).tail)
         out.append(s)
     return out
 

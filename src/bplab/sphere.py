@@ -28,13 +28,17 @@ __all__ = [
 # jitter would corrupt oracle comparisons
 DEGENERACY_TOL = 1e-8
 
+# sample_sphere_vectors takes its row norms this many entries at a time (at
+# least one row), so the norm's temporaries stay small whatever the count
+NORM_ENTRIES = 2**14
+
 
 def sample_sphere_vectors(
     d: int, n: int, rng: RngStream | np.random.Generator, out=None, own_basis: bool = False
 ) -> np.ndarray:
     """n uniform sphere vectors as the rows of an (n, d) complex array, or of
     `out` when it is given: each a standard complex Gaussian vector,
-    renormalized.
+    renormalized about NORM_ENTRIES entries at a time.
 
     With own_basis, the rows come in their own basis, the orthonormal one
     that Gram-Schmidt builds from them in order: an (n, min(n, d)) lower
@@ -61,9 +65,12 @@ def sample_sphere_vectors(
         z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
     else:
         z = standard_complex_normal(gen, (n, d), out)
-    # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal)
+    # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal);
+    # each row's norm is its own reduction, so any chunking gives the same bits
     parts = z.view(float)
-    parts *= 1.0 / np.linalg.norm(z, axis=1, keepdims=True)
+    step = max(1, NORM_ENTRIES // d)
+    for i in range(0, n, step):
+        parts[i : i + step] *= 1.0 / np.linalg.norm(z[i : i + step], axis=1, keepdims=True)
     return z
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from bplab import hermitian
 from bplab.hermitian import BLOCK, HermitianSample, _draw_jumps, _rank_one_sum, sample_P_many
-from bplab.levy import FiniteMeasure, LevyTriple, cauchy, poisson
+from bplab.levy import FiniteMeasure, LevyTriple, cauchy, convolve, gaussian, poisson
 from bplab.nonhermitian import ComplexMatrixSample, sample_L_many, singular_values
 from bplab.rng import RngStream
 from bplab.spectra import esd
@@ -122,18 +122,55 @@ def test_blocked_rows_are_one_draw_bit_for_bit(monkeypatch, n, pairs):
     assert gen.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
 
 
-def test_a_dense_L_sample_holds_O_d2_plus_block_d():
-    # cauchy(1, 1001) at cut 0.05 has tail intensity 13.08: n is about 3900
-    # at d = 300, whose rows alone took 2 n d complex entries (37 MB) at once
-    d = 300
-    triple = cauchy(1.0, 1001)
-    sample_L_many(triple, 2, RngStream(36, 0), 1, 0.05)  # warm caches and imports
+def _traced_peak(draw, d):
+    """The tracemalloc peak of draw(d), after a warm-up draw at d = 2."""
+    draw(2)  # warm caches and imports
     tracemalloc.start()
     try:
-        sample = sample_L_many(triple, d, RngStream(36, 1), 1, 0.05)[0]
-        sample.entries
-        peak = tracemalloc.get_traced_memory()[1]
+        draw(d)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert isinstance(sample.tail, np.ndarray)
-    assert peak < 6 * (d * d + BLOCK * d) * 16
+
+
+def _cauchy_L(d):
+    # cauchy(1, 1001) at cut 0.05: a Ginibre block and tail intensity 13.08
+    return sample_L_many(cauchy(1.0, 1001), d, RngStream(36, 1), 1, 0.05)[0]
+
+
+def test_a_dense_L_sample_holds_O_d2_plus_block_d():
+    # n is about 3900 at d = 300, whose rows alone took 2 n d complex entries
+    # (37 MB) at once.  The sample needs its block, the sum, one product and
+    # the 2 BLOCK d row buffer, and a little more for the jumps: 6.96 MB with
+    # numpy 2.4, 9.55 MB when the tail was kept beside the block and its
+    # entries added
+    d = 300
+    peak = _traced_peak(lambda d: _cauchy_L(d).entries, d)
+    assert peak < (3 * d * d + 2 * BLOCK * d) * 16 + 2**19
+
+
+def test_a_block_sample_is_one_array():
+    # the summed tail is added into the block as it is drawn
+    sample = _cauchy_L(50)
+    assert not sample.low_rank and sample.tail is None
+    assert sample.entries is sample.block
+    with pytest.raises(ValueError):
+        ComplexMatrixSample(sample.block, tail=sample.block)
+
+
+def test_an_L_sample_with_its_singular_values_holds_O_d2_plus_block_d():
+    # 3.73 MB with numpy 2.4; 5.50 MB with the row norms, u.T * x and
+    # w.conj() taken as BLOCK x d temporaries and the tail kept beside the block
+    d = 200
+    peak = _traced_peak(lambda d: singular_values(_cauchy_L(d)), d)
+    assert peak < (2 * BLOCK * d + 4 * d * d) * 16
+
+
+def test_a_blocked_P_sample_with_its_eigenvalues_holds_O_d2_plus_block_d():
+    # n ~ Poisson(3 d) >= d terms and a GUE block; the bound of the L test,
+    # as the one u.T * x temporary of BLOCK x d takes the place of the w rows.
+    # 3.57 MB with numpy 2.4; 4.39 MB with the row norm and w.conj() temporaries
+    d = 200
+    triple = convolve(gaussian(0.0, 1.0), poisson(3.0))
+    peak = _traced_peak(lambda d: esd(sample_P_many(triple, d, RngStream(37, 1), 1)[0]), d)
+    assert peak < (2 * BLOCK * d + 4 * d * d) * 16

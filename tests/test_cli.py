@@ -200,8 +200,8 @@ def test_run_rows_are_the_samplers_spectra(model, spec):
             law = symmetrized_singular_law(sample)
         if sample.block is None:
             assert sample.low_rank and 0 < sample.tail[0].size < d
-        else:
-            assert not sample.low_rank and isinstance(sample.tail, np.ndarray)
+        else:  # the summed tail is added into the block as it is drawn
+            assert not sample.low_rank and sample.tail is None
         per_trial.append(empirical_moments(law, 4).values)
     want = np.mean(per_trial, axis=0)
     assert [r["mean"] for r in report.rows] == [float(m) for m in want]

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bplab.levy import convolve, dirac, gaussian, poisson
-from bplab.rng import RngStream
+from bplab.rng import RngStream, standard_complex_normal
 from bplab.sphere import (
+    NORM_ENTRIES,
     pd_fourier,
     sample_simplex_points,
     sample_sphere_vectors,
@@ -39,6 +40,33 @@ def test_own_basis_rows_are_unit_lower_trapezoidal(d, n):
     assert not np.any(diag.imag) and np.all(diag.real > 0.0)
     if n:
         assert abs(u[0, 0] - 1.0) <= 1e-15  # the first row spans the first basis vector
+
+
+def _whole_array_rows(d, n, rng, own_basis):
+    """The draws of sample_sphere_vectors, each row scaled by one norm call
+    over the whole array."""
+    gen = rng.generator()
+    if own_basis:
+        m = min(n, d)
+        below = np.tri(n, m, -1, dtype=bool)
+        raw = np.zeros((n, m), dtype=complex)
+        raw[below] = standard_complex_normal(gen, np.count_nonzero(below))
+        diag = np.arange(m)
+        raw[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
+    else:
+        raw = standard_complex_normal(gen, (n, d))
+    raw.view(float)[...] *= 1.0 / np.linalg.norm(raw, axis=1, keepdims=True)
+    return raw
+
+
+@pytest.mark.parametrize("own_basis", [False, True])
+@pytest.mark.parametrize("d", [200, 1500])
+def test_chunked_row_norms_keep_the_whole_array_bytes(d, own_basis):
+    c = max(1, NORM_ENTRIES // d)
+    for n in (1, c - 1, c, c + 1, 3 * c + 5):
+        got = sample_sphere_vectors(d, n, RngStream(5, n), own_basis=own_basis)
+        want = _whole_array_rows(d, n, RngStream(5, n), own_basis)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def test_own_basis_rows_take_no_out_array():
