@@ -610,21 +610,27 @@ def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, 
 # from 0.06711547587602497 to 0.067115475876025.  The L hash was recorded
 # again (from b0eaa32b...) when dense singular values came to be taken by an
 # SVD, not by the eigenvalues of M^* M: the rows moved in their last bits,
-# m4 at d = 20 from 1.9701864618609468 to 1.9701864618609477, for one
+# m4 at d = 20 from 1.9701864618609468 to 1.9701864618609477.  The block-P
+# row (a GUE block plus n ~ Poisson(d / 2) summed terms, d = 300 above BLOCK)
+# was recorded when the tail was added into the block (r + r^*) / 2 BLOCK
+# rows at a time.
 RUN_ROWS = [
-    ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]),
+    ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]), [20, 40],
      "9ed3101363e9f25c9be72a28afd1e199ceb2ac20997f7b8e2a3fbabdc1e89937"),
     ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]},
-     ("semicircle", [0.0, 1.0]),
+     ("semicircle", [0.0, 1.0]), [20, 40],
      "0b5b7269df7880378600a7caa9d9984276362303d851fec2acb2e8f5352e3d6b"),
+    ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}, ("semicircle", [0.25, 1.0]),
+     [20, 300], "6fa0a4460c6f51e3995681842d8bf6d0592aabed3946085568ed337c51541651"),
 ]
 
 
-@pytest.mark.parametrize("model, spec, target, sha", RUN_ROWS, ids=["low-rank-P", "block-L"])
-def test_run_rows_are_the_recorded_bytes(monkeypatch, model, spec, target, sha):
+@pytest.mark.parametrize("model, spec, target, dims, sha", RUN_ROWS,
+                         ids=["low-rank-P", "block-L", "block-P"])
+def test_run_rows_are_the_recorded_bytes(monkeypatch, model, spec, target, dims, sha):
     monkeypatch.setenv("BPLAB_THREADS", "1")
     law, params = target
-    doc = config(model=model, triple=spec, dims=[20, 40], trials_per_dim=3, seed=7,
+    doc = config(model=model, triple=spec, dims=dims, trials_per_dim=3, seed=7,
                  outputs={"moments": {"kmax": 4}, "histogram": {"bins": 8},
                           "cauchy_distance": {"target": {"law": law, "params": params}}})
     rows = run(ExperimentConfig.from_dict(doc)).rows
