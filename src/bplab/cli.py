@@ -250,12 +250,6 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _version() -> str:
-    """The version a report carries, bplab.__version__: a source checkout
-    has it too, and no installed metadata is read."""
-    return __version__
-
-
 def _aggregate(values: np.ndarray) -> tuple[float, float]:
     mean = float(np.mean(values))
     if values.size > 1:
@@ -284,7 +278,7 @@ def run(config: ExperimentConfig) -> Report:
                 "dims": list(config.dims), "trials_per_dim": config.trials_per_dim,
                 "inner_cut": config.inner_cut},
         seed=config.seed,
-        version=_version(),
+        version=__version__,
     )
     target_law, grid = config.distance_target, config.distance_grid
     workers = _worker_count()
@@ -404,7 +398,7 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     report = Report(
         config={"experiment": "projection", "d": d, "d_prime": d_prime, "trials": trials},
         seed=seed,
-        version=_version(),
+        version=__version__,
     )
     for k in range(1, kmax + 1):
         mean, stderr = _aggregate(per_trial[:, k - 1])

@@ -40,12 +40,12 @@ class _Sample:
     """A d x d matrix sample kept in the parts it was drawn as: a dense block,
     or shift * I plus a rank-one tail sum_k x_k u_k w_k^*.  A tail drawn for
     a block is added into it in place (_with_tail), so a sample keeps a tail
-    only where it has no block.  The tail is the d x d sum itself, or, for n < d terms, the factors
-    (x, u, w, key) of _rank_one_terms: the rows u_k and w_k of u and w in
-    their own n-dimensional span, and the key of the Haar columns that place
-    those spans in C^d, which gives the law of rows drawn in C^d as the
-    model is unitarily invariant.  `entries` builds the matrix;
-    `core_spectrum` needs only x, u and w."""
+    only where it has no block.  The tail is the d x d sum itself, or, for
+    n < d terms, the factors (x, u, w, key) of _rank_one_terms: the rows u_k
+    and w_k of u and w in their own n-dimensional span, and the key of the
+    Haar columns that place those spans in C^d, which gives the law of rows
+    drawn in C^d as the model is unitarily invariant.  `entries` builds the
+    matrix, over a kept d x d tail, which it consumes."""
 
     block: np.ndarray | None = None
     dim: int | None = None
@@ -64,14 +64,9 @@ class _Sample:
             raise ValueError("d must be positive")
 
     @staticmethod
-    def _tail_entries(r: np.ndarray, fresh: bool) -> np.ndarray:
-        """The tail's entries from its d x d sum r: r itself when it is a
-        fresh array, a copy when it is the kept tail."""
-        return r if fresh else r.copy()
-
-    def _add_tail(self, r: np.ndarray) -> None:
-        """Add the tail's entries from its d x d sum r into the block in place."""
-        np.add(self.block, r, out=self.block)
+    def _dense(r: np.ndarray) -> np.ndarray:
+        """The entries of a tail from its fresh d x d sum r, written over r."""
+        return r
 
     def _with_tail(self, tail):
         """This sample plus a rank-one tail (_rank_one_terms): kept as the
@@ -81,15 +76,16 @@ class _Sample:
         if self.block is None:
             return replace(self, tail=tail)
         if tail is not None:
-            self._add_tail(tail)
+            np.add(self.block, self._dense(tail), out=self.block)
         return self
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """The matrix, built on first use: the block, or the tail plus the
-        shift on the diagonal, added in place.  Factors are placed in C^d as
-        V_u C V_w^* with the core C of core_spectrum and d x n Haar columns
-        V_u and V_w (V_w = V_u when w is u) drawn from Philox(key)."""
+        """The matrix, built on first use: the block, or the tail's entries
+        (_dense) plus the shift on the diagonal, over the kept sum or the
+        fresh product.  Factors are placed in C^d as V_u C V_w^* with the
+        core C of spectrum and d x n Haar columns V_u and V_w (V_w = V_u when
+        w is u) drawn from Philox(key)."""
         d = self.dim
         if self.tail is None:
             return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
@@ -101,25 +97,25 @@ class _Sample:
             if w is not u:  # V_u is no longer needed when V_w is drawn
                 del v
                 v = _haar_columns(d, x.size, gen)
-            m = self._tail_entries(left @ np.conjugate(v, out=v).T, fresh=True)
+            m = self._dense(left @ np.conjugate(v, out=v).T)
         else:
-            m = self._tail_entries(self.tail, fresh=False)
+            m = self._dense(self.tail)
         m[np.diag_indices(d)] += self.shift
         return m
 
     @property
     def low_rank(self) -> bool:
         """No dense block, and no tail or one kept as factors (n < d terms):
-        the spectrum comes from core_spectrum, an n x n problem in place of a
-        d x d one."""
+        the spectrum comes from an n x n core in place of a d x d problem."""
         return self.block is None and not isinstance(self.tail, np.ndarray)
 
-    def core_spectrum(self, solve) -> np.ndarray:
-        """For a low-rank sample with n rank-one terms: solve(C) on the n x n
-        core C = (u.T * x) @ w.conj() of the tail in its rows' own basis, then
-        d - n zeros for the rest of the space, all plus the shift.  With
-        eigvalsh (w = u) these are the eigenvalues of the sample, with
-        singular values its singular values: the Haar columns are orthonormal."""
+    def spectrum(self, solve) -> np.ndarray:
+        """solve(entries), or for a low-rank sample solve(C) on the n x n core
+        C = (u.T * x) @ w.conj() of its tail in its rows' own basis and d - n
+        zeros, all plus the shift: the Haar columns are orthonormal, so these
+        are its eigenvalues (eigvalsh, w = u) or its singular values (svd)."""
+        if not self.low_rank:
+            return solve(self.entries)
         values = np.zeros(self.dim)
         if self.tail is not None:
             x, u, w, _ = self.tail
@@ -127,9 +123,36 @@ class _Sample:
         return values + self.shift
 
 
+def _hermitian_part(r: np.ndarray) -> np.ndarray:
+    """(r + r^*) / 2 written over the square array r, one pair of tiles across
+    the diagonal at a time; entry (i, j) keeps the bits of (conj(r[j, i]) +
+    r[i, j]) / 2, so the result is exactly Hermitian.  The temporaries are two
+    contiguous (BLOCK / 2)-square tiles, as numpy's ufuncs buffer strided
+    2-d views and copyto does not."""
+    d = r.shape[0]
+    s = min(d, BLOCK // 2)
+    bufs = np.empty((2, s, s), dtype=r.dtype)
+    for i in range(0, d, s):
+        for j in range(i, d, s):
+            a, b = r[i : i + s, j : j + s], r[j : j + s, i : i + s]
+            x, y = bufs[:, : a.shape[0], : a.shape[1]]
+            np.copyto(x, a)
+            np.copyto(y, b.T)
+            np.conjugate(y, out=y)
+            y += x
+            y /= 2.0
+            np.copyto(a, y)
+            if i < j:  # b is still as it was
+                np.copyto(y, b.T)
+                y += np.conjugate(x, out=x)
+                y /= 2.0
+                np.copyto(b, y.T)
+    return r
+
+
 class HermitianSample(_Sample):
     """A Hermitian sample: the dense block is checked, and the tail is
-    sum_k x_k u_k u_k^* (w is u), whose entries are symmetrized as
+    sum_k x_k u_k u_k^* (w is u), whose entries are its Hermitian part
     (T + T^*) / 2."""
 
     def __post_init__(self):
@@ -143,31 +166,11 @@ class HermitianSample(_Sample):
         if isinstance(self.tail, tuple) and self.tail[2] is not self.tail[1]:
             raise ValueError("a Hermitian tail needs w = u")
 
-    @staticmethod
-    def _tail_entries(r: np.ndarray, fresh: bool) -> np.ndarray:
-        """(r + r^*) / 2, symmetrized in place in a new array."""
-        m = np.conjugate(r.T, out=np.empty(r.shape, dtype=complex))
-        m += r
-        m /= 2.0
-        return m
-
-    def _add_tail(self, r: np.ndarray) -> None:
-        """block += (r + r^*) / 2, BLOCK rows at a time.  The block stays
-        exactly Hermitian, as (r + r^*) / 2 is: conjugation is a sign flip."""
-        d = self.dim
-        buf = np.empty((min(d, BLOCK), d), dtype=complex)
-        for i in range(0, d, BLOCK):
-            t = np.conjugate(r[:, i : i + BLOCK].T, out=buf[: min(BLOCK, d - i)])
-            t += r[i : i + BLOCK]
-            t /= 2.0
-            self.block[i : i + BLOCK] += t
+    _dense = staticmethod(_hermitian_part)
 
     def eigenvalues(self) -> np.ndarray:
-        """From the n x n core when the sample is low rank, otherwise from a
-        dense eigensolve of the entries."""
-        if self.low_rank:
-            return self.core_spectrum(np.linalg.eigvalsh)
-        return np.linalg.eigvalsh(self.entries)
+        """spectrum(eigvalsh)."""
+        return self.spectrum(np.linalg.eigvalsh)
 
 
 def _haar_columns(d: int, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -194,8 +197,7 @@ def sample_Q(x, rng: RngStream | np.random.Generator) -> HermitianSample:
     if x.ndim != 1:
         raise ValueError("the diagonal must be a 1-d array")
     u = sample_haar_unitary(x.size, as_generator(rng))
-    m = (u * x) @ u.conj().T
-    return HermitianSample((m + m.conj().T) / 2.0)
+    return HermitianSample(_hermitian_part((u * x) @ u.conj().T))
 
 
 def _gue_matrix(d: int, sigma2: float, gen: np.random.Generator) -> np.ndarray:

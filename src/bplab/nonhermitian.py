@@ -105,11 +105,9 @@ def sample_L_many(
 
 
 def singular_values(M: ComplexMatrixSample) -> np.ndarray:
-    """Singular values, from one SVD solver: of the n x n core and d - n
-    zeros for a low-rank sample (core_spectrum), of the entries otherwise."""
-    if M.low_rank:
-        return M.core_spectrum(lambda c: np.linalg.svd(c, compute_uv=False))
-    return np.linalg.svd(M.entries, compute_uv=False)
+    """Singular values, from one SVD solver (_Sample.spectrum): of the n x n
+    core and d - n zeros for a low-rank sample, of the entries otherwise."""
+    return M.spectrum(lambda m: np.linalg.svd(m, compute_uv=False))
 
 
 def symmetrized_singular_law(M: ComplexMatrixSample) -> EmpiricalDistribution:

@@ -594,7 +594,7 @@ PROJECT_STDOUT = [
 @pytest.mark.parametrize("args, sha", PROJECT_STDOUT, ids=["core", "one-block"])
 def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, capsys,
                                                                    args, sha):
-    monkeypatch.setattr("bplab.cli._version", lambda: "unknown")
+    monkeypatch.setattr("bplab.cli.__version__", "unknown")
     assert main(["project", *args]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
 

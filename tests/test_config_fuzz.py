@@ -1,6 +1,9 @@
 """Config parsing on arbitrary JSON: `bplab run` ends in exit 0 or exit 2,
 never in a traceback, and triple_from_spec raises nothing but ValueError.
-`cli.run` is replaced by a stub, so nothing is sampled."""
+`cli.run` is replaced by a stub, so nothing is sampled.  Well-formed configs
+with small values are also run for real: the sampler, the spectra and the
+statistics end in exit 0, or in exit 2 naming `triple` for an asymmetric
+nonhermitian triple."""
 
 import contextlib
 import io
@@ -118,3 +121,59 @@ def test_triple_from_spec_raises_only_value_error(spec):
 
 def test_the_valid_config_reaches_the_run():
     assert _run_exit_code(VALID) == 0
+
+
+# Well-formed configs with small finite values, run for real.  Values lie on
+# a grid of step 1/20 in [-3, 3], so that no jump is nearer zero than 0.05
+# and a tail has at most a few thousand terms per dim.
+def grid(lo, hi):
+    return st.integers(round(20 * lo), round(20 * hi)).map(lambda k: k / 20)
+
+
+atom_lists = st.lists(st.tuples(grid(-3, 3), grid(0, 3)).map(list), min_size=1, max_size=3)
+small_triple = st.one_of(
+    st.fixed_dictionaries({"preset": st.just("gaussian"), "mean": grid(-3, 3),
+                           "var": grid(0, 3)}),
+    st.fixed_dictionaries({"preset": st.just("poisson"), "lambda": grid(0, 3)}),
+    st.fixed_dictionaries({"preset": st.just("cauchy"), "a": grid(0.05, 3)},
+                          optional={"nodes": st.integers(8, 64)}),
+    st.fixed_dictionaries({"preset": st.just("dirac"), "a": grid(-3, 3)}),
+    st.fixed_dictionaries({"gamma": grid(-3, 3), "atoms": atom_lists}),
+    # symmetric, so that the nonhermitian model samples it
+    atom_lists.map(lambda atoms: {"gamma": 0, "atoms": atoms + [[-u, w] for u, w in atoms]}),
+)
+small_triples = st.one_of(small_triple, st.lists(small_triple, min_size=1, max_size=3).map(
+    lambda parts: {"convolve": parts}))
+targets = st.one_of(
+    st.tuples(st.just("semicircle"), st.tuples(grid(-3, 3), grid(0.05, 3))),
+    st.tuples(st.just("cauchy"), st.tuples(grid(0.05, 3))),
+    st.tuples(st.just("marchenko_pastur"), st.tuples(grid(0, 3))),
+    st.tuples(st.just("dirac"), st.tuples(grid(-3, 3))),
+).map(lambda t: {"target": {"law": t[0], "params": list(t[1])}})
+small_outputs = st.fixed_dictionaries({}, optional={
+    "moments": st.fixed_dictionaries({"kmax": st.integers(1, 8)}),
+    "histogram": st.fixed_dictionaries({"bins": st.integers(1, 20)}),
+    "cauchy_distance": targets,
+}).filter(bool)
+small_configs = st.fixed_dictionaries(
+    {"model": st.sampled_from(["hermitian", "nonhermitian"]), "triple": small_triples,
+     "dims": st.lists(st.integers(1, 8), min_size=1, max_size=3).map(sorted),
+     "trials_per_dim": st.integers(1, 2), "seed": st.integers(0, 2**31),
+     "outputs": small_outputs},
+    optional={"inner_cut": st.floats(0.01, 2)},
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_configs)
+def test_well_formed_small_configs_run(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(["run", str(path)])
+    if doc["model"] == "hermitian" or code != 2:
+        assert code == 0, err.getvalue()
+    else:
+        assert err.getvalue().startswith("config error: triple:"), err.getvalue()

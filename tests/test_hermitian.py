@@ -6,8 +6,10 @@ import pytest
 from scipy import stats
 
 from bplab.hermitian import (
+    BLOCK,
     HermitianSample,
     _decompose,
+    _hermitian_part,
     sample_haar_unitary,
     sample_P,
     sample_P_compound_poisson,
@@ -294,22 +296,65 @@ def test_gaussian_case_peaks_at_a_few_matrices():
     assert peak < 2.75 * m.nbytes
 
 
+def _traced(build):
+    """build() and its tracemalloc peak."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# one BLOCK x BLOCK complex tile, which holds the temporaries of
+# _hermitian_part, plus 64 KiB for numpy's bookkeeping
+TILE_BOUND = BLOCK * BLOCK * 16 + 2**16
+
+
 @pytest.mark.parametrize("model", ["hermitian", "nonhermitian"])
 def test_tail_only_entries_are_built_in_one_matrix(model):
-    # the tail's d x d sum is symmetrized (P), shifted and copied in place:
-    # one d x d array beyond the parts, where building it out of place took
-    # 3.1 of them for P and 2.0 for L
+    # the kept tail's d x d sum is consumed: its Hermitian part (P) and the
+    # shift are written over it, one tile at a time, where building them in
+    # an array of their own took 1.0 d x d array beyond the parts for P and L
     d = 300
     gen = RngStream(4, 0).generator()
     r = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+    want = 0.7 * np.eye(d) + (r + r.conj().T) / 2.0 if model == "hermitian" else r.copy()
     sample = (HermitianSample(dim=d, shift=0.7, tail=r) if model == "hermitian"
               else ComplexMatrixSample(dim=d, tail=r))
-    tracemalloc.start()
-    try:
-        m = sample.entries
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.25 * r.nbytes
-    want = 0.7 * np.eye(d) + (r + r.conj().T) / 2.0 if model == "hermitian" else r
-    assert np.array_equal(m, want) and m is not r
+    m, peak = _traced(lambda: sample.entries)
+    assert peak <= TILE_BOUND
+    assert np.array_equal(m, want) and np.shares_memory(m, r)
+
+
+@pytest.mark.parametrize("d", [1, 2, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+def test_hermitian_part_is_the_out_of_place_sum_byte_for_byte(d):
+    # a real r makes every imaginary part a sum of opposite zeros, +0 in
+    # that order, where conj((conj(b) + a) / 2) would be -0 below the diagonal
+    gen = RngStream(5, d).generator()
+    for r in standard_complex_normal(gen, (d, d)), gen.standard_normal((d, d)) + 0j:
+        want = (np.conjugate(r.T) + r) / 2
+        m = _hermitian_part(r)
+        assert m is r and m.tobytes() == want.tobytes()
+        assert np.array_equal(m, m.conj().T)
+
+
+def test_hermitian_part_holds_one_tile():
+    d = 600
+    _hermitian_part(np.ones((2, 2), dtype=complex))  # warm caches and imports
+    r = standard_complex_normal(RngStream(6, 0).generator(), (d, d))
+    _, peak = _traced(lambda: _hermitian_part(r))
+    assert peak <= TILE_BOUND
+
+
+def test_low_rank_P_entries_hold_two_matrices_and_a_quarter():
+    # n ~ Poisson(d / 2) < d terms: the own-basis product V_u C V_u^* is the
+    # entries, its Hermitian part written over it; 3.0 d x d arrays when that
+    # part was built in an array of its own, 2.0 with numpy 2.4 now (the thin
+    # QR of the d x n Haar columns is the rest)
+    d = 1000
+    sample_P_many(poisson(0.5), 20, RngStream(1, 0), 1)[0].entries  # warm caches and imports
+    sample = sample_P_many(poisson(0.5), d, RngStream(1, 0), 1)[0]
+    assert sample.low_rank
+    _, peak = _traced(lambda: sample.entries)
+    assert peak < 2.25 * d * d * 16
