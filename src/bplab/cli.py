@@ -250,13 +250,20 @@ def _worker_count() -> int:
     return os.cpu_count() or 1
 
 
-def _aggregate(values: np.ndarray) -> tuple[float, float]:
-    mean = float(np.mean(values))
-    if values.size > 1:
-        stderr = float(np.std(values, ddof=1) / np.sqrt(values.size))
-    else:
-        stderr = float("nan")
-    return mean, stderr
+def _row(d: int, trials: int, stat: str, mean: float, stderr: float = math.nan) -> dict:
+    return {"dim": d, "trial_count": trials, "stat_name": stat, "mean": mean, "stderr": stderr}
+
+
+def _mean_rows(d: int, per_trial, stats=None) -> list[dict]:
+    """One row per column of per_trial, a line of values per trial: their
+    mean over the trials and, over two or more, its standard error.  The
+    columns are the stats named, by default the moments m1, m2, ..."""
+    columns = np.array(per_trial).T
+    stats = stats or [f"m{k}" for k in range(1, len(columns) + 1)]
+    n = columns.shape[1]
+    return [_row(d, n, stat, float(np.mean(values)),
+                 float(np.std(values, ddof=1) / np.sqrt(n)) if n > 1 else math.nan)
+            for stat, values in zip(stats, columns)]
 
 
 def _trial_law(config: ExperimentConfig, d: int, trial: int):
@@ -292,36 +299,25 @@ def run(config: ExperimentConfig) -> Report:
         else:
             laws = [_trial_law(config, d, t) for t in trials]
         pooled = _pool(laws)
+        rows = []
         # the statistics of a law near the float limits overflow: a warning
         # would end the run, so non-finite means and centres are refused below
         with np.errstate(over="ignore", invalid="ignore"):
             if config.moments_kmax is not None:
-                per_trial = np.array(
-                    [empirical_moments(law, config.moments_kmax).values for law in laws]
-                )
-                for k in range(1, config.moments_kmax + 1):
-                    mean, stderr = _aggregate(per_trial[:, k - 1])
-                    report.rows.append(
-                        {"dim": d, "trial_count": len(trials), "stat_name": f"m{k}",
-                         "mean": mean, "stderr": stderr}
-                    )
+                rows += _mean_rows(d, [empirical_moments(law, config.moments_kmax).values
+                                       for law in laws])
             if config.histogram_bins is not None:
                 report.histograms[str(d)] = spectra.histogram(pooled, config.histogram_bins)
             if target_law is not None:
-                dists = np.array([cauchy_sup_distance(law, target_law, grid) for law in laws])
-                mean, stderr = _aggregate(dists)
-                report.rows.append(
-                    {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance",
-                     "mean": mean, "stderr": stderr}
-                )
-                report.rows.append(
-                    {"dim": d, "trial_count": len(trials), "stat_name": "cauchy_distance_pooled",
-                     "mean": cauchy_sup_distance(pooled, target_law, grid), "stderr": float("nan")}
-                )
-        if not all(math.isfinite(row["mean"]) for row in report.rows) or not all(
+                rows += _mean_rows(d, [[cauchy_sup_distance(law, target_law, grid)]
+                                       for law in laws], ["cauchy_distance"])
+                rows.append(_row(d, len(laws), "cauchy_distance_pooled",
+                                 cauchy_sup_distance(pooled, target_law, grid)))
+        if not all(math.isfinite(row["mean"]) for row in rows) or not all(
             math.isfinite(c) for c, _ in report.histograms.get(str(d), ())
         ):
             raise ConfigError("triple", f"its statistics at d = {d} overflow a float")
+        report.rows += rows
     return report
 
 
@@ -368,10 +364,7 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     if not isinstance(params, list):
         raise ConfigError(f"{path}.target.params", "must be a list of numbers")
     try:
-        values = [_json_float(v) for v in params]
-        if not all(math.isfinite(v) for v in values):
-            raise ValueError("params must be finite")
-        return make(*values), grid
+        return make(*[_json_float(v) for v in params]), grid
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.target.params", str(exc)) from exc
 
@@ -385,32 +378,16 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     BLOCK at a time (_rank_one_terms)."""
     if d < 1 or d_prime < 0 or trials < 1:
         raise ValueError("need d >= 1, d_prime >= 0, trials >= 1")
-    lam = d_prime / d
     kmax = 4
     per_trial = []
     for trial in range(trials):
-        gen = RngStream(seed, trial).generator()
-        tail = _rank_one_terms(np.ones(d_prime), d, gen)
-        law = esd(HermitianSample(dim=d, tail=tail))
-        per_trial.append(empirical_moments(law, kmax).values)
-    per_trial = np.array(per_trial)
-    ref = reference_moments(marchenko_pastur(lam), kmax)
-    report = Report(
-        config={"experiment": "projection", "d": d, "d_prime": d_prime, "trials": trials},
-        seed=seed,
-        version=__version__,
-    )
-    for k in range(1, kmax + 1):
-        mean, stderr = _aggregate(per_trial[:, k - 1])
-        report.rows.append(
-            {"dim": d, "trial_count": trials, "stat_name": f"m{k}", "mean": mean,
-             "stderr": stderr}
-        )
-        report.rows.append(
-            {"dim": d, "trial_count": trials, "stat_name": f"m{k}_reference",
-             "mean": ref[k], "stderr": 0.0}
-        )
-    return report
+        tail = _rank_one_terms(np.ones(d_prime), d, RngStream(seed, trial).generator())
+        per_trial.append(empirical_moments(esd(HermitianSample(dim=d, tail=tail)), kmax).values)
+    ref = reference_moments(marchenko_pastur(d_prime / d), kmax)
+    rows = [r for k, row in enumerate(_mean_rows(d, per_trial), 1)
+            for r in (row, _row(d, trials, f"m{k}_reference", ref[k], 0.0))]
+    config = {"experiment": "projection", "d": d, "d_prime": d_prime, "trials": trials}
+    return Report(config=config, seed=seed, version=__version__, rows=rows)
 
 
 # ---------------------------------------------------------------------------
