@@ -70,6 +70,8 @@ class ExperimentConfig:
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
         if not isinstance(doc, dict):
             raise ConfigError("$", "config must be an object")
+        _check_keys(doc, "", "model", "triple", "dims", "trials_per_dim", "seed", "outputs",
+                    "inner_cut")
         model = doc.get("model")
         if model not in ("hermitian", "nonhermitian"):
             raise ConfigError("model", "must be 'hermitian' or 'nonhermitian'")
@@ -89,6 +91,7 @@ class ExperimentConfig:
         outputs = doc.get("outputs", {"moments": {"kmax": 4}})
         if not isinstance(outputs, dict) or not outputs:
             raise ConfigError("outputs", "must be a nonempty object")
+        _check_keys(outputs, "outputs", "moments", "histogram", "cauchy_distance")
         kmax = None
         bins = None
         target = grid = None
@@ -96,19 +99,19 @@ class ExperimentConfig:
             if key in ("moments", "histogram") and not isinstance(val, dict):
                 raise ConfigError(f"outputs.{key}", "must be an object")
             if key == "moments":
+                _check_keys(val, "outputs.moments", "kmax")
                 kmax = val.get("kmax", 4)
                 if not _is_int(kmax) or not 1 <= kmax <= MAX_KMAX:
                     raise ConfigError("outputs.moments.kmax",
                                       f"must be an integer in [1, {MAX_KMAX}]")
             elif key == "histogram":
+                _check_keys(val, "outputs.histogram", "bins")
                 bins = val.get("bins", 50)
                 if not _is_int(bins) or not 1 <= bins <= MAX_ENTRIES:
                     raise ConfigError("outputs.histogram.bins",
                                       f"must be an integer in [1, {MAX_ENTRIES}]")
-            elif key == "cauchy_distance":
-                target, grid = _parse_distance_target(val)
             else:
-                raise ConfigError(f"outputs.{key}", "unknown output")
+                target, grid = _parse_distance_target(val)
         cut = doc.get("inner_cut")
         if cut is not None:
             if isinstance(cut, bool) or not isinstance(cut, (int, float)) or not (
@@ -131,6 +134,14 @@ class ExperimentConfig:
             distance_grid=grid,
             inner_cut=cut,
         )
+
+
+def _check_keys(doc: dict, path: str, *known: str) -> None:
+    """Refuse a field of the object at path that is not one of the known ones."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"unknown field; known: {', '.join(known)}")
 
 
 def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:
@@ -231,12 +242,9 @@ class Report:
         import csv
 
         buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["dim", "trial_count", "stat_name", "mean", "stderr"])
-        for row in self.rows:
-            writer.writerow(
-                [row["dim"], row["trial_count"], row["stat_name"], row["mean"], row["stderr"]]
-            )
+        writer = csv.DictWriter(buf, ["dim", "trial_count", "stat_name", "mean", "stderr"])
+        writer.writeheader()
+        writer.writerows(self.rows)
         return buf.getvalue()
 
 
@@ -309,8 +317,8 @@ def run(config: ExperimentConfig) -> Report:
             if config.histogram_bins is not None:
                 report.histograms[str(d)] = spectra.histogram(pooled, config.histogram_bins)
             if target_law is not None:
-                rows += _mean_rows(d, [[cauchy_sup_distance(law, target_law, grid)]
-                                       for law in laws], ["cauchy_distance"])
+                dists = [[cauchy_sup_distance(law, target_law, grid)] for law in laws]
+                rows += _mean_rows(d, dists, ["cauchy_distance"])
                 rows.append(_row(d, len(laws), "cauchy_distance_pooled",
                                  cauchy_sup_distance(pooled, target_law, grid)))
         if not all(math.isfinite(row["mean"]) for row in rows) or not all(
@@ -338,9 +346,11 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     path = "outputs.cauchy_distance"
     if not isinstance(doc, dict):
         raise ConfigError(path, "must be an object")
+    _check_keys(doc, path, "target", "grid")
     g = doc.get("grid", {})
     if not isinstance(g, dict):
         raise ConfigError(f"{path}.grid", "must be an object")
+    _check_keys(g, f"{path}.grid", "real_range", "real_step", "imaginary_levels")
     try:
         grid = GridSpec(
             real_range=tuple(_json_float(v) for v in g.get("real_range", (-8.0, 8.0))),
@@ -354,6 +364,7 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     spec = doc.get("target")
     if not isinstance(spec, dict):
         raise ConfigError(f"{path}.target", "missing")
+    _check_keys(spec, f"{path}.target", "law", "params")
     if "law" not in spec:
         raise ConfigError(f"{path}.target", "needs a 'law' entry")
     name = spec["law"]
@@ -364,7 +375,8 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     if not isinstance(params, list):
         raise ConfigError(f"{path}.target.params", "must be a list of numbers")
     try:
-        return make(*[_json_float(v) for v in params]), grid
+        values = [_json_float(v) for v in params]
+        return make(*values), grid
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.target.params", str(exc)) from exc
 
@@ -378,12 +390,15 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
     BLOCK at a time (_rank_one_terms)."""
     if d < 1 or d_prime < 0 or trials < 1:
         raise ValueError("need d >= 1, d_prime >= 0, trials >= 1")
+    lam = d_prime / d
     kmax = 4
     per_trial = []
     for trial in range(trials):
-        tail = _rank_one_terms(np.ones(d_prime), d, RngStream(seed, trial).generator())
-        per_trial.append(empirical_moments(esd(HermitianSample(dim=d, tail=tail)), kmax).values)
-    ref = reference_moments(marchenko_pastur(d_prime / d), kmax)
+        gen = RngStream(seed, trial).generator()
+        tail = _rank_one_terms(np.ones(d_prime), d, gen)
+        law = esd(HermitianSample(dim=d, tail=tail))
+        per_trial.append(empirical_moments(law, kmax).values)
+    ref = reference_moments(marchenko_pastur(lam), kmax)
     rows = [r for k, row in enumerate(_mean_rows(d, per_trial), 1)
             for r in (row, _row(d, trials, f"m{k}_reference", ref[k], 0.0))]
     config = {"experiment": "projection", "d": d, "d_prime": d_prime, "trials": trials}

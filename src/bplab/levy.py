@@ -356,6 +356,7 @@ def _parse_spec(spec) -> LevyTriple:
     if not isinstance(spec, dict):
         raise ValueError("triple spec must be an object")
     if "convolve" in spec:
+        _check_keys(spec, "convolve")
         parts = spec["convolve"]
         if not isinstance(parts, list) or not parts:
             raise ValueError("'convolve' takes a nonempty list of specs")
@@ -366,25 +367,37 @@ def _parse_spec(spec) -> LevyTriple:
     if "preset" in spec:
         name = spec["preset"]
         if name == "gaussian":
+            _check_keys(spec, "preset", "mean", "var")
             return gaussian(_number(spec, "mean"), _number(spec, "var"))
         if name == "poisson":
+            _check_keys(spec, "preset", "lambda")
             return poisson(_number(spec, "lambda"))
         if name == "cauchy":
+            _check_keys(spec, "preset", "a", "nodes")
             a = _number(spec, "a")
             nodes = _number(spec, "nodes", 401)
             if not nodes.is_integer() or not 8 <= nodes <= MAX_CAUCHY_NODES:
                 raise ValueError(f"'nodes' must be an integer in [8, {MAX_CAUCHY_NODES}]")
             return cauchy(a, int(nodes))
         if name == "dirac":
+            _check_keys(spec, "preset", "a")
             return dirac(_number(spec, "a"))
         raise ValueError(f"unknown preset {name!r}")
     if "gamma" in spec:
+        _check_keys(spec, "gamma", "atoms")
         try:
             atoms = tuple((_json_float(u), _json_float(w)) for u, w in spec.get("atoms", []))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"'atoms' must be a list of [location, weight] pairs: {exc}") from exc
         return LevyTriple(_number(spec, "gamma"), FiniteMeasure(atoms))
     raise ValueError("triple spec needs 'gamma', 'preset' or 'convolve'")
+
+
+def _check_keys(spec: dict, *known: str) -> None:
+    """Refuse a key that the form of spec, with the given keys, does not take."""
+    for key in spec:
+        if key not in known:
+            raise ValueError(f"unknown key {key!r}: this form takes {', '.join(known)}")
 
 
 def _number(spec: dict, key: str, default: float | None = None) -> float:

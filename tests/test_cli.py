@@ -95,6 +95,21 @@ def test_good_config_parses():
          "outputs.cauchy_distance.grid"),
         # a small-jump substitution whose mean and variance overflow
         ({"triple": {"gamma": 0, "atoms": [[1e200, 1e200]]}, "inner_cut": 1e300}, "triple"),
+        # misspelt keys, at every level of the config
+        ({"trial_per_dim": 50}, "trial_per_dim"),
+        ({"inner_cutoff": 0.5}, "inner_cutoff"),
+        ({"triple": {"gamma": 0, "atom": [[1, 1]]}}, "triple"),
+        ({"triple": {"preset": "cauchy", "a": 1, "node": 1001}}, "triple"),
+        ({"outputs": {"moments": {"k_max": 3}}}, "outputs.moments.k_max"),
+        ({"outputs": {"histogram": {"bin": 10}}}, "outputs.histogram.bin"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grids": {}}}},
+         "outputs.cauchy_distance.grids"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "param": [1.0]}}}},
+         "outputs.cauchy_distance.target.param"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"realstep": 0.1}}}},
+         "outputs.cauchy_distance.grid.realstep"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -299,6 +314,15 @@ def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["sample", "--dim", "4"], ["moments"]])
+def test_cli_spec_with_a_misspelt_key_exits_2_naming_it(argv, capsys):
+    spec = '{"preset": "cauchy", "a": 1, "node": 1001}'
+    assert main([argv[0], spec, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: triple: unknown key 'node'")
+    assert captured.out == ""
+
+
 def test_cli_sample_deterministic(capsys):
     spec = json.dumps({"preset": "gaussian", "mean": 0.0, "var": 1.0})
     assert main(["sample", spec, "--dim", "3", "--seed", "5"]) == 0
@@ -375,8 +399,13 @@ def test_cli_run_bad_config_exit_codes(tmp_path, capsys):
         ({"target": {"law": "marchenko_pastur", "params": [-1]}},
          "outputs.cauchy_distance.target.params"),
         ({"target": {"law": "dirac", "params": [2.0]}, "grid": {"real_step": 0}}, "real_step"),
+        # refused by ReferenceLaw, under the params' path
+        ({"target": {"law": "marchenko_pastur", "params": [math.inf]}},
+         "outputs.cauchy_distance.target.params"),
+        ({"target": {"law": "semicircle", "params": [0, math.nan]}},
+         "outputs.cauchy_distance.target.params"),
     ],
-    ids=["unknown-law", "negative-lambda", "zero-step"],
+    ids=["unknown-law", "negative-lambda", "zero-step", "infinite-lambda", "nan-radius"],
 )
 def test_cli_run_bad_distance_target_exits_2(tmp_path, capsys, distance, field):
     path = tmp_path / "config.json"

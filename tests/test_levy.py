@@ -438,6 +438,23 @@ def test_spec_rejects_malformed(bad):
         triple_from_spec(bad)
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"convolve": [{"preset": "dirac", "a": 1.0}], "weights": [1.0]}, "weights"),
+        ({"preset": "gaussian", "mean": 0.0, "var": 1.0, "variance": 2.0}, "variance"),
+        ({"preset": "poisson", "lamda": 1.0}, "lamda"),
+        ({"preset": "cauchy", "a": 1.0, "node": 1001}, "node"),
+        ({"preset": "dirac", "a": 1.0, "b": 2.0}, "b"),
+        ({"gamma": 0.0, "atom": [[1.0, 1.0]]}, "atom"),
+    ],
+    ids=["convolve", "gaussian", "poisson", "cauchy", "dirac", "gamma"],
+)
+def test_spec_refuses_a_key_its_form_does_not_take(spec, key):
+    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+        triple_from_spec(spec)
+
+
 def test_spec_nested_past_the_recursion_limit_is_a_value_error():
     spec = {"preset": "dirac", "a": 1.0}
     for _ in range(5000):
