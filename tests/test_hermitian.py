@@ -39,21 +39,24 @@ GAUSSIAN_BYTES = {
 # triple with atoms [[0, 0.5], [1, w]], keyed by (w, d) and recorded (numpy
 # 2.4.6, x86-64) when the tail was added into the Gaussian block (r + r^*) / 2
 # BLOCK rows at a time: n ~ Poisson(2 w d) terms, so fewer than d at w = 0.25
-# (one product) and about 2 d at w = 1 (the blocked sum)
+# (one product) and about 2 d at w = 1 (the blocked sum).  The w = 1 hashes,
+# and the two below, were recorded again (from fe45af02..., 41de8eba...,
+# f1fdd139... and 6aaae691...) at one BLAS thread (tests/conftest.py): they
+# had been recorded at two, whose zgemm sums the products in another order
 BLOCK_P_BYTES = {
     (0.25, 255): "7dc573d0b9b4297944d5b3d2d238ffba1414ce9713a67049b5c74347065a187a",
     (0.25, 256): "cfffefd51bb935976a74faba697b6c4caa3bfa790883402e82e08d6a9f82224c",
     (0.25, 257): "9bf1d03c93d00d6883bbe64a7c8e0d541b73f69898895e9a96f1625194fc8eba",
     (0.25, 600): "0be097c6a4c36905de40c794cddf3e239dc1b658b31eb0e46fadc916a8cbea6b",
-    (1.0, 257): "fe45af0273b125edf8b7a8042e6454711c10d7bfc95d3e0a41cde3badcf5f142",
-    (1.0, 600): "41de8eba93d2c04218daec5ea93ebc34e159e4a8163adedd4b3e0d03cb19d2f0",
+    (1.0, 257): "996424dea194ac2ebc20638b124f8b09824a44661c62af1241fb3840e17041f0",
+    (1.0, 600): "ad5cf8cb6d515003d1eb88232e1e06ec71f111c5d083928481de0ef8dff65363",
 }
 # the same for the kept d x d sum of poisson(2) at d = 257, RngStream(11, 0)
 # (no block, about 2 d terms), recorded when it was symmetrized into a new
 # array; and for sample_Q(linspace(-1, 2, 300), RngStream(12, 0)), recorded
 # when its product was symmetrized out of place
-KEPT_SUM_P_BYTES = "f1fdd13947881feab0427b1cfc6c60ade84692fe1ea0efb618ecfc3073efaa8e"
-SAMPLE_Q_BYTES = "6aaae6915b183426d59ae9f7e9439d30ecd2cbec4b1070f17579f6551719a500"
+KEPT_SUM_P_BYTES = "08f5b65c7adeed751ab0c36aaa42be49f56e3c319ebd45237128a56c67a33100"
+SAMPLE_Q_BYTES = "821956dfa37ccbe91afd97f976b16be0282fff8adb3e8ded67c871a04bbc11ff"
 
 
 def _sha(a: np.ndarray) -> str:
