@@ -44,6 +44,10 @@ from .spectra import (
 __all__ = ["ExperimentConfig", "Report", "run", "projection_experiment", "main"]
 
 
+# RngStream keys Philox with the seed modulo 2**64: one outside would alias one inside
+_SEEDS = range(2**64)
+
+
 class ConfigError(ValueError):
     """Invalid experiment config; carries the offending field path."""
 
@@ -80,14 +84,15 @@ class ExperimentConfig:
         dims = doc.get("dims")
         if not isinstance(dims, list) or not dims or any(
             not _is_int(d) or d < 1 for d in dims
-        ) or dims != sorted(dims):
-            raise ConfigError("dims", "must be a nonempty ascending list of positive ints")
+        ) or dims != sorted(set(dims)):
+            raise ConfigError("dims", "must be a nonempty strictly ascending list of "
+                                      "positive ints")
         trials = doc.get("trials_per_dim", 1)
         if not _is_int(trials) or trials < 1:
             raise ConfigError("trials_per_dim", "must be a positive integer")
         seed = doc.get("seed", 0)
-        if not _is_int(seed):
-            raise ConfigError("seed", "must be an integer")
+        if not _is_int(seed) or seed not in _SEEDS:
+            raise ConfigError("seed", "must be an integer in [0, 2**64)")
         outputs = doc.get("outputs", {"moments": {"kmax": 4}})
         if not isinstance(outputs, dict) or not outputs:
             raise ConfigError("outputs", "must be a nonempty object")
@@ -333,14 +338,6 @@ def _pool(laws) -> EmpiricalDistribution:
     return EmpiricalDistribution(np.concatenate([law.support_points for law in laws]))
 
 
-_TARGET_LAWS = {
-    "semicircle": spectra.semicircle,
-    "cauchy": spectra.cauchy_law,
-    "marchenko_pastur": spectra.marchenko_pastur,
-    "dirac": spectra.dirac_law,
-}
-
-
 def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     """The target law and evaluation grid of the cauchy_distance output."""
     path = "outputs.cauchy_distance"
@@ -351,14 +348,9 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     if not isinstance(g, dict):
         raise ConfigError(f"{path}.grid", "must be an object")
     _check_keys(g, f"{path}.grid", "real_range", "real_step", "imaginary_levels")
-    try:
-        grid = GridSpec(
-            real_range=tuple(_json_float(v) for v in g.get("real_range", (-8.0, 8.0))),
-            real_step=_json_float(g.get("real_step", 0.05)),
-            imaginary_levels=tuple(
-                _json_float(v) for v in g.get("imaginary_levels", (1.0, 2.0, 4.0))
-            ),
-        )
+    try:  # a key left out takes GridSpec's default
+        grid = GridSpec(**{key: _json_float(v) if key == "real_step"
+                           else tuple(map(_json_float, v)) for key, v in g.items()})
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.grid", str(exc)) from exc
     spec = doc.get("target")
@@ -368,15 +360,13 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     if "law" not in spec:
         raise ConfigError(f"{path}.target", "needs a 'law' entry")
     name = spec["law"]
-    make = _TARGET_LAWS.get(name) if isinstance(name, str) else None
-    if make is None:
+    if not isinstance(name, str) or name not in spectra._REFERENCE_PARAMS:
         raise ConfigError(f"{path}.target.law", f"unknown law {name!r}")
     params = spec.get("params", [])
     if not isinstance(params, list):
         raise ConfigError(f"{path}.target.params", "must be a list of numbers")
-    try:
-        values = [_json_float(v) for v in params]
-        return make(*values), grid
+    try:  # the law refuses params that are not exactly its own, naming itself
+        return ReferenceLaw(name, tuple(map(_json_float, params))), grid
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{path}.target.params", str(exc)) from exc
 
@@ -493,6 +483,8 @@ def _command(args) -> int:
         value = getattr(args, name, None)
         if value is not None and value < least:
             raise ConfigError(f"--{name}", f"must be >= {least}")
+    if getattr(args, "seed", 0) not in _SEEDS:
+        raise ConfigError("--seed", "must be in [0, 2**64)")
 
     if args.command == "run":
         doc = _decode("config", lambda: json.loads(Path(args.config).read_text("utf-8")))

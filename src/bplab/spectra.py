@@ -29,7 +29,6 @@ __all__ = [
     "empirical_moments",
     "cauchy_transform",
     "cauchy_sup_distance",
-    "reference_density",
     "reference_moments",
     "psi_image_moments",
     "histogram",
@@ -163,19 +162,6 @@ def empirical_moments(nu: EmpiricalDistribution, kmax: int) -> MomentSequence:
     return MomentSequence(tuple(float(np.sum(w * x**k)) for k in range(1, kmax + 1)))
 
 
-def _mp_edges(lam: float) -> tuple[float, float]:
-    return (1.0 - math.sqrt(lam)) ** 2, (1.0 + math.sqrt(lam)) ** 2
-
-
-def _mp_density(lam: float, x: np.ndarray) -> np.ndarray:
-    a, b = _mp_edges(lam)
-    out = np.zeros_like(x, dtype=float)
-    inside = (x > a) & (x < b) & (x > 0)
-    xi = x[inside]
-    out[inside] = np.sqrt((b - xi) * (xi - a)) / (2.0 * np.pi * xi)
-    return out
-
-
 # Most (support x z) elements an empirical transform materializes at once.
 _TRANSFORM_BLOCK = 1 << 16
 
@@ -216,7 +202,7 @@ def _transform(nu, z: np.ndarray) -> np.ndarray:
         # z f^2 + (z + 1 - lam) f + 1 = 0 with the semicircle's split-root
         # branch; near z = 0 the root tends to -|1 - lam|, which leaves the
         # pole of the (1 - lam)+ atom at zero and no pole when lam >= 1
-        a, b = _mp_edges(lam)
+        a, b = (1.0 - math.sqrt(lam)) ** 2, (1.0 + math.sqrt(lam)) ** 2
         w = np.sqrt(z - a) * np.sqrt(z - b)
         return -(z + 1.0 - lam - w) / (2.0 * z)
     raise ValueError(f"unknown law {nu!r}")
@@ -245,24 +231,6 @@ def cauchy_sup_distance(nu1, nu2, grid: GridSpec | None = None) -> float:
         grid = GridSpec()
     zs = grid.points()
     return float(np.max(np.abs(cauchy_transform(nu1, zs) - cauchy_transform(nu2, zs))))
-
-
-def reference_density(law: ReferenceLaw, x: float) -> float:
-    """Pointwise density of the absolutely continuous part."""
-    if law.kind == "dirac":
-        raise ValueError("a point mass has no density")
-    if law.kind == "cauchy":
-        (a,) = law.params
-        return a / (math.pi * (a * a + x * x))
-    if law.kind == "semicircle":
-        mean, r = law.params
-        if abs(x - mean) > 2 * r:
-            return 0.0
-        return math.sqrt(4 * r * r - (x - mean) ** 2) / (2.0 * math.pi * r * r)
-    if law.kind == "marchenko_pastur":
-        (lam,) = law.params
-        return float(_mp_density(lam, np.array([float(x)]))[0])
-    raise ValueError(f"unknown law {law!r}")
 
 
 def reference_moments(law: ReferenceLaw, kmax: int) -> MomentSequence:

@@ -14,7 +14,7 @@ from scipy import integrate
 
 from bplab.partitions import SetPartition, enumerate_noncrossing, enumerate_partitions
 from bplab.rng import as_generator, standard_complex_normal
-from bplab.spectra import ReferenceLaw, marchenko_pastur, reference_density
+from bplab.spectra import ReferenceLaw, marchenko_pastur
 
 
 def lattice_moment(c, n, kind):
@@ -118,6 +118,27 @@ def is_symmetric_scan(t, tol=1e-9):
         if partner is None:
             return False
     return True
+
+
+def reference_density(law: ReferenceLaw, x: float) -> float:
+    """Pointwise density of the absolutely continuous part of a reference law."""
+    if law.kind == "dirac":
+        raise ValueError("a point mass has no density")
+    if law.kind == "cauchy":
+        (a,) = law.params
+        return a / (math.pi * (a * a + x * x))
+    if law.kind == "semicircle":
+        mean, r = law.params
+        if abs(x - mean) > 2 * r:
+            return 0.0
+        return math.sqrt(4 * r * r - (x - mean) ** 2) / (2.0 * math.pi * r * r)
+    if law.kind == "marchenko_pastur":
+        (lam,) = law.params
+        a, b = (1.0 - math.sqrt(lam)) ** 2, (1.0 + math.sqrt(lam)) ** 2
+        if not a < x < b:
+            return 0.0
+        return math.sqrt((b - x) * (x - a)) / (2.0 * math.pi * x)
+    raise ValueError(f"unknown law {law!r}")
 
 
 def mp_transform_quad(lam, zs):

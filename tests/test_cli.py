@@ -19,8 +19,8 @@ from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_ex
 from bplab.hermitian import BLOCK, sample_P_many
 from bplab.nonhermitian import sample_L_many, symmetrized_singular_law
 from bplab.rng import RngStream
-from bplab.spectra import (MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, empirical_moments, esd,
-                           psi_image_moments)
+from bplab.spectra import (MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, GridSpec, dirac_law,
+                           empirical_moments, esd, psi_image_moments)
 from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
 from bplab.sphere import sample_sphere_vectors
 
@@ -110,6 +110,11 @@ def test_good_config_parses():
         ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
                                           "grid": {"realstep": 0.1}}}},
          "outputs.cauchy_distance.grid.realstep"),
+        # RngStream keys Philox with the seed modulo 2**64: these would alias 2**64 - 1 and 0
+        ({"seed": -1}, "seed"),
+        ({"seed": 2**64}, "seed"),
+        # dims run once each: a repeat would emit its rows twice under one histogram key
+        ({"dims": [2, 2]}, "dims"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -311,6 +316,8 @@ def test_cli_moments_rejects_bad_spec(capsys):
          "config error: triple: unknown key 'node'"),
         (["moments", '{"preset":"cauchy","a":1,"node":1001}'],
          "config error: triple: unknown key 'node'"),
+        (["sample", '{"preset":"dirac","a":1}', "--dim", "2", "--seed", "-1"], "--seed"),
+        (["project", "--dim", "4", "--count", "1", "--seed", str(2**64)], "--seed"),
     ],
 )
 def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
@@ -399,8 +406,18 @@ def test_cli_run_bad_config_exit_codes(tmp_path, capsys):
          "outputs.cauchy_distance.target.params"),
         ({"target": {"law": "semicircle", "params": [0, math.nan]}},
          "outputs.cauchy_distance.target.params"),
+        # a target takes exactly its law's params, with no defaults
+        ({"target": {"law": "semicircle"}},
+         "outputs.cauchy_distance.target.params: semicircle needs a finite mean and a "
+         "positive finite radius, got ()"),
+        ({"target": {"law": "semicircle", "params": [0.5]}},
+         "outputs.cauchy_distance.target.params: semicircle needs a finite mean and a "
+         "positive finite radius, got (0.5,)"),
+        ({"target": {"law": "dirac", "params": [1, 2]}},
+         "outputs.cauchy_distance.target.params: dirac needs a finite a, got (1.0, 2.0)"),
     ],
-    ids=["unknown-law", "negative-lambda", "zero-step", "infinite-lambda", "nan-radius"],
+    ids=["unknown-law", "negative-lambda", "zero-step", "infinite-lambda", "nan-radius",
+         "semicircle-no-params", "semicircle-no-radius", "dirac-two-params"],
 )
 def test_cli_run_bad_distance_target_exits_2(tmp_path, capsys, distance, field):
     path = tmp_path / "config.json"
@@ -409,6 +426,14 @@ def test_cli_run_bad_distance_target_exits_2(tmp_path, capsys, distance, field):
     captured = capsys.readouterr()
     assert field in captured.err
     assert captured.out == ""
+
+
+def test_a_grid_key_left_out_takes_the_gridspec_default():
+    target = {"law": "dirac", "params": [2.0]}
+    for grid, want in [({"real_step": 0.1}, GridSpec(real_step=0.1)), ({}, GridSpec())]:
+        doc = config(outputs={"cauchy_distance": {"target": target, "grid": grid}})
+        cfg = ExperimentConfig.from_dict(doc)
+        assert (cfg.distance_target, cfg.distance_grid) == (dirac_law(2.0), want)
 
 
 @pytest.mark.parametrize(

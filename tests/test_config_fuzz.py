@@ -157,7 +157,7 @@ small_outputs = st.fixed_dictionaries({}, optional={
 }).filter(bool)
 small_configs = st.fixed_dictionaries(
     {"model": st.sampled_from(["hermitian", "nonhermitian"]), "triple": small_triples,
-     "dims": st.lists(st.integers(1, 8), min_size=1, max_size=3).map(sorted),
+     "dims": st.lists(st.integers(1, 8), min_size=1, max_size=3, unique=True).map(sorted),
      "trials_per_dim": st.integers(1, 2), "seed": st.integers(0, 2**31),
      "outputs": small_outputs},
     optional={"inner_cut": st.floats(0.01, 2)},

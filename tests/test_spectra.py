@@ -21,11 +21,10 @@ from bplab.spectra import (
     histogram,
     marchenko_pastur,
     psi_image_moments,
-    reference_density,
     reference_moments,
     semicircle,
 )
-from oracles import mp_atom, mp_transform_quad
+from oracles import mp_atom, mp_transform_quad, reference_density
 
 
 def test_empirical_distribution_validation_and_sorting():
