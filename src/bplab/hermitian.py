@@ -328,8 +328,6 @@ def _decompose(t: LevyTriple, cut: float | None) -> _Decomposition:
         locs = t.G.locations()
         off = np.abs(locs[~at_zero(locs)])
         cut = float(off.min()) / 2.0 if off.size else 1.0
-    if not cut > 0:
-        raise ValueError("inner cut must be positive")
     inner, tail = truncate(t, cut)  # by this module's name: perfbench/tracing.py wraps it
     locs, ws = inner.G.locations(), inner.G.weights()
     jumps = ~at_zero(locs)
@@ -354,8 +352,6 @@ def _sample_composite(
     so that one d x d array is kept.  Callers pass the blocks by their
     module-level names, looked up per call, so wrappers installed on those
     names (perfbench/tracing.py) are the ones run."""
-    if d < 1:
-        raise ValueError("d must be positive")
     dec = _decompose(t, inner_cut)
     gen = as_generator(rng)
     out = []

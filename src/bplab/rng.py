@@ -18,9 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngStream", "standard_normal", "standard_complex_normal"]
+__all__ = ["RngStream", "SEED_LIMIT", "standard_normal", "standard_complex_normal"]
 
-_MASK64 = (1 << 64) - 1
+# Seeds and stream ids lie in [0, SEED_LIMIT): each is one 64-bit half of the
+# Philox key, so a wider one would alias one inside.
+SEED_LIMIT = 2**64
 
 
 @dataclass(frozen=True)
@@ -29,14 +31,18 @@ class RngStream:
 
     Identical (seed, stream_id) pairs reproduce identical draws; distinct
     stream_ids are statistically independent.  A single stream must not be
-    consumed from two places at once.
+    consumed from two places at once.  Both numbers lie in [0, SEED_LIMIT).
     """
 
     seed: int
     stream_id: int = 0
 
+    def __post_init__(self):
+        if not (0 <= self.seed < SEED_LIMIT and 0 <= self.stream_id < SEED_LIMIT):
+            raise ValueError(f"seed and stream_id must be in [0, 2**64), got {self!r}")
+
     def generator(self) -> np.random.Generator:
-        key = (self.seed & _MASK64) | ((self.stream_id & _MASK64) << 64)
+        key = self.seed | (self.stream_id << 64)
         return np.random.Generator(np.random.Philox(key=key))
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
+from bplab.levy import FiniteMeasure
 from bplab.partitions import SetPartition, enumerate_noncrossing, enumerate_partitions
 from bplab.rng import as_generator, standard_complex_normal
 from bplab.spectra import ReferenceLaw, marchenko_pastur
@@ -118,6 +119,28 @@ def is_symmetric_scan(t, tol=1e-9):
         if partner is None:
             return False
     return True
+
+
+def integrate_scan(g, f):
+    """Sum of weight * f(u) over the atoms of g, by a Python loop from 0."""
+    return sum(w * f(u) for u, w in g.atoms)
+
+
+def cumulants_scan(t, kmax):
+    """Classical cumulants c_1..c_kmax of a triple atom by atom: c_1 = gamma +
+    int u dG and c_k = int u^(k-2) (1+u^2) dG, with Python float powers."""
+    c = [t.gamma + integrate_scan(t.G, lambda u: u)]
+    for k in range(2, kmax + 1):
+        c.append(integrate_scan(t.G, lambda u: u ** (k - 2) * (1.0 + u * u)))
+    return [float(v) for v in c]
+
+
+def compound_poisson_scan(rho, lam):
+    """(gamma, atoms) of the compound Poisson triple, atom by atom: weights
+    lam w u^2/(1+u^2) off 0, merged as a FiniteMeasure, and gamma = lam int
+    u/(1+u^2) drho."""
+    atoms = tuple((u, lam * w * u * u / (1.0 + u * u)) for u, w in rho.atoms if u != 0.0)
+    return lam * integrate_scan(rho, lambda u: u / (1.0 + u * u)), FiniteMeasure(atoms).atoms
 
 
 def reference_density(law: ReferenceLaw, x: float) -> float:

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import bplab
+from bplab import cli
 from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_experiment, run
 from bplab.hermitian import BLOCK, sample_P_many
 from bplab.nonhermitian import sample_L_many, symmetrized_singular_law
@@ -110,17 +111,29 @@ def test_good_config_parses():
         ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
                                           "grid": {"realstep": 0.1}}}},
          "outputs.cauchy_distance.grid.realstep"),
-        # RngStream keys Philox with the seed modulo 2**64: these would alias 2**64 - 1 and 0
+        # a seed is one 64-bit half of the Philox key: RngStream refuses these
         ({"seed": -1}, "seed"),
         ({"seed": 2**64}, "seed"),
         # dims run once each: a repeat would emit its rows twice under one histogram key
         ({"dims": [2, 2]}, "dims"),
+        # each bin is a pair in the report: 2**26 of them would need about 29 GB
+        ({"outputs": {"histogram": {"bins": 2**26}}}, "outputs.histogram.bins"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(config(**overrides))
     assert err.value.path == path
+
+
+def test_histogram_bins_are_charged_per_dim():
+    # the most bins whose report pairs fit the budget at one dim, over it at two
+    bins = MAX_ENTRIES // cli._BIN_ENTRIES
+    outputs = {"histogram": {"bins": bins}}
+    assert ExperimentConfig.from_dict(config(dims=[3], outputs=outputs)).histogram_bins == bins
+    with pytest.raises(ConfigError, match=str(MAX_ENTRIES)) as err:
+        ExperimentConfig.from_dict(config(dims=[3, 5], outputs=outputs))
+    assert err.value.path == "outputs.histogram.bins"
 
 
 def test_missing_triple():
@@ -275,6 +288,8 @@ def test_projection_experiment_zero_count():
         assert row["mean"] == 0.0
     with pytest.raises(ValueError):
         projection_experiment(0, 1, 1, 0)
+    with pytest.raises(ValueError):  # it would alias seed 2**64 - 1
+        projection_experiment(5, 3, 1, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,11 +20,13 @@ from bplab.levy import (
     is_symmetric,
     levy_exponent,
     poisson,
+    running_sum,
     triple_from_spec,
     triple_to_spec,
     truncate,
 )
-from oracles import fitted_cumulants, is_symmetric_scan, merge_atoms_scan
+from oracles import (compound_poisson_scan, cumulants_scan, fitted_cumulants, is_symmetric_scan,
+                     merge_atoms_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +109,17 @@ def test_measure_merges_chains_whole():
 
 def test_measure_addition_and_integration():
     g = FiniteMeasure.point(1.0, 2.0) + FiniteMeasure.point(-1.0, 1.0)
-    assert g.integrate(lambda u: u) == pytest.approx(1.0)
-    assert g.integrate(lambda u: u * u) == pytest.approx(3.0)
+    assert running_sum(g.weights() * g.locations()) == pytest.approx(1.0)
+    assert running_sum(g.weights() * g.locations() ** 2) == pytest.approx(3.0)
+
+
+def test_measure_addition_merges_the_concatenated_atoms():
+    # the atoms of the first measure, then those of the second, merged as one
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        a, b = _atoms_with_near_duplicates(rng), _atoms_with_near_duplicates(rng)
+        f, g = FiniteMeasure(tuple(a)), FiniteMeasure(tuple(b))
+        assert np.array_equal(_bits((f + g).atoms), _bits(merge_atoms_scan(f.atoms + g.atoms)))
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +217,52 @@ def test_cumulants_match_exponent_derivatives(triple):
     assert np.allclose(fitted, exact, atol=1e-6)
 
 
+# The triples whose cumulants the per-atom loop pins bit for bit; the last
+# has an atom whose cube np.power rounds another way than a Python power.
+SCANNED_TRIPLES = {
+    "gaussian": gaussian(0.3, 2),
+    "poisson-0.5": poisson(0.5),
+    "poisson-2.5": poisson(2.5),
+    "cauchy-1001": cauchy(1, 1001),
+    "cauchy-9": cauchy(0.7, 9),
+    "gaussian*poisson": convolve(gaussian(0.1, 0.5), poisson(0.8)),
+    "atoms": triple_from_spec(
+        {"gamma": -0.25, "atoms": [[0, 0.5], [1, 0.125], [-1.5, 0.3], [1e-13, 0.2]]}),
+    "compound-poisson": compound_poisson_triple(
+        FiniteMeasure(((0, 0.2), (2, 0.5), (-3, 0.3))), 1.7),
+    "dirac": dirac(2.5),
+    "signed-zeros": triple_from_spec(
+        {"gamma": -0.0, "atoms": [[-0.0, 0.0], [-1, 0.0], [2, 0.0]]}),
+    "odd-cube": triple_from_spec({"gamma": 0, "atoms": [[0.5410227877154389, 1]]}),
+}
+
+
+@pytest.mark.parametrize("t", SCANNED_TRIPLES.values(), ids=SCANNED_TRIPLES)
+def test_cumulants_equal_the_per_atom_loop(t):
+    assert np.array_equal(_bits(cumulants_from_triple(t, 8).values), _bits(cumulants_scan(t, 8)))
+
+
+@pytest.mark.parametrize("rho, lam", [
+    (FiniteMeasure.point(1.0), 0.5),
+    (FiniteMeasure.point(1.0), 2.5),
+    (FiniteMeasure(((0, 0.2), (2, 0.5), (-3, 0.3))), 1.7),
+    (FiniteMeasure(((-0.0, 0.25), (1e-13, 0.25), (1e100, 0.5))), 0.8),
+    (FiniteMeasure(np.column_stack((np.tan(np.linspace(-1.5, 1.5, 100)), np.full(100, 0.01)))),
+     1.3),
+])
+def test_compound_poisson_triple_equals_the_per_atom_loop(rho, lam):
+    gamma, atoms = compound_poisson_scan(rho, lam)
+    t = compound_poisson_triple(rho, lam)
+    assert np.array_equal(_bits([t.gamma]), _bits([gamma]))
+    assert np.array_equal(_bits(t.G.atoms), _bits(atoms))
+
+
 def test_compound_poisson_exponent_identity():
     rho = FiniteMeasure(((1.0, 0.5), (-2.0, 0.5)))
     lam = 0.8
     t = compound_poisson_triple(rho, lam)
     for x in (0.4, 1.1, -2.0):
-        expected = lam * rho.integrate(lambda u: np.exp(1j * x * u) - 1.0)
+        expected = lam * np.sum(rho.weights() * (np.exp(1j * x * rho.locations()) - 1.0))
         assert levy_exponent(t, x) == pytest.approx(expected, abs=1e-12)
 
 

@@ -83,3 +83,18 @@ def test_complex_normal_is_interleaved_pairs():
     pairs = standard_normal(RngStream(2, 0).generator(), (3, 4, 2))
     assert z.shape == (3, 4)
     assert np.array_equal(z, (pairs[..., 0] + 1j * pairs[..., 1]) / np.sqrt(2.0))
+
+
+@pytest.mark.parametrize("seed, stream_id",
+                         [(-1, 0), (2**64, 0), (0, -1), (0, 2**64), (float("nan"), 0), (1e300, 0)])
+def test_seeds_and_stream_ids_outside_64_bits_are_refused(seed, stream_id):
+    # each is one 64-bit half of the Philox key: a wider one would alias one inside
+    with pytest.raises(ValueError):
+        RngStream(seed, stream_id)
+
+
+def test_the_largest_seed_and_stream_id_key_distinct_streams():
+    top = 2**64 - 1
+    draws = {standard_normal(RngStream(s, i).generator(), 4).tobytes()
+             for s, i in ((top, top), (top, 0), (0, top), (0, 0))}
+    assert len(draws) == 4
