@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, spectra
 from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, _json_float, is_symmetric, triple_from_spec
+from .levy import LevyTriple, _json_float, _json_int, is_symmetric, triple_from_spec
 from .rng import SEED_LIMIT, RngStream
 from .spectra import (
     MAX_ENTRIES,
@@ -68,61 +68,43 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "ExperimentConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("$", "config must be an object")
-        _check_keys(doc, "", "model", "triple", "dims", "trials_per_dim", "seed", "outputs",
-                    "inner_cut")
+        _object(doc, "", "model", "triple", "dims", "trials_per_dim", "seed", "outputs",
+                "inner_cut")
         model = doc.get("model")
         if model not in ("hermitian", "nonhermitian"):
             raise ConfigError("model", "must be 'hermitian' or 'nonhermitian'")
         if "triple" not in doc:
             raise ConfigError("triple", "missing")
         dims = doc.get("dims")
-        if not isinstance(dims, list) or not dims or any(
-            not _is_int(d) or d < 1 for d in dims
-        ) or dims != sorted(set(dims)):
+        if not isinstance(dims, list) or not dims or [
+            _integer("dims", d, 1) for d in dims
+        ] != sorted(set(dims)):
             raise ConfigError("dims", "must be a nonempty strictly ascending list of "
                                       "positive ints")
-        trials = doc.get("trials_per_dim", 1)
-        if not _is_int(trials) or trials < 1:
-            raise ConfigError("trials_per_dim", "must be a positive integer")
-        seed = doc.get("seed", 0)
-        if not _is_int(seed) or not 0 <= seed < SEED_LIMIT:
-            raise ConfigError("seed", f"must be an integer in [0, {SEED_LIMIT})")
+        trials = _integer("trials_per_dim", doc.get("trials_per_dim", 1), 1)
+        seed = _integer("seed", doc.get("seed", 0), 0, SEED_LIMIT - 1)
         outputs = doc.get("outputs", {"moments": {"kmax": 4}})
-        if not isinstance(outputs, dict) or not outputs:
+        if not _object(outputs, "outputs", "moments", "histogram", "cauchy_distance"):
             raise ConfigError("outputs", "must be a nonempty object")
-        _check_keys(outputs, "outputs", "moments", "histogram", "cauchy_distance")
-        kmax = None
-        bins = None
-        target = grid = None
+        kmax = bins = target = grid = None
         for key, val in outputs.items():
-            if key in ("moments", "histogram") and not isinstance(val, dict):
-                raise ConfigError(f"outputs.{key}", "must be an object")
             if key == "moments":
-                _check_keys(val, "outputs.moments", "kmax")
-                kmax = val.get("kmax", 4)
-                if not _is_int(kmax) or not 1 <= kmax <= MAX_KMAX:
-                    raise ConfigError("outputs.moments.kmax",
-                                      f"must be an integer in [1, {MAX_KMAX}]")
+                kmax = _integer("outputs.moments.kmax",
+                                _object(val, "outputs.moments", "kmax").get("kmax", 4),
+                                1, MAX_KMAX)
             elif key == "histogram":
-                _check_keys(val, "outputs.histogram", "bins")
-                bins = val.get("bins", 50)
-                most = MAX_ENTRIES // (_BIN_ENTRIES * len(dims))
-                if not _is_int(bins) or not 1 <= bins <= most:
-                    raise ConfigError("outputs.histogram.bins",
-                                      f"must be an integer in [1, {most}]: each bin, at each "
-                                      f"of the {len(dims)} dim(s), costs {_BIN_ENTRIES} "
-                                      f"entries of the budget of {MAX_ENTRIES}")
+                bins = _integer("outputs.histogram.bins",
+                                _object(val, "outputs.histogram", "bins").get("bins", 50),
+                                1, MAX_ENTRIES // (_BIN_ENTRIES * len(dims)),
+                                f": each bin, at each of the {len(dims)} dim(s), costs "
+                                f"{_BIN_ENTRIES} entries of the budget of {MAX_ENTRIES}")
             else:
                 target, grid = _parse_distance_target(val)
         cut = doc.get("inner_cut")
         if cut is not None:
-            if isinstance(cut, bool) or not isinstance(cut, (int, float)) or not (
-                0 < cut < math.inf
-            ):
+            cut = _read("inner_cut", lambda: _json_float(cut))
+            if not 0 < cut < math.inf:
                 raise ConfigError("inner_cut", "must be a positive finite number")
-            cut = float(cut)
         triple = _parse_triple(doc["triple"], model)
         _check_sample_budget(model, triple, cut, dims, "dims", trials)
         return cls(
@@ -140,21 +122,53 @@ class ExperimentConfig:
         )
 
 
-def _check_keys(doc: dict, path: str, *known: str) -> None:
-    """Refuse a field of the object at path that is not one of the known ones."""
+# Each value of a config, of a triple spec or of a flag is read by one of
+# these rules, and refused under its path: numbers by levy._json_float,
+# integers by _integer, objects by _object, and every other read by _read.
+
+
+def _object(doc, path: str, *known: str) -> dict:
+    """doc, an object whose fields are all known ones; a config error naming
+    path (the config itself when path is empty), or the unknown field's
+    path, otherwise."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path or "$", "must be an object")
     for key in doc:
         if key not in known:
             raise ConfigError(f"{path}.{key}" if path else key,
                               f"unknown field; known: {', '.join(known)}")
+    return doc
+
+
+def _integer(path: str, value, least: int, most: float = math.inf, why: str = "") -> int:
+    """value, a JSON integer (levy._json_int) in [least, most]; a config
+    error naming path, and the range, otherwise."""
+    try:
+        if least <= _json_int(value) <= most:
+            return value
+    except TypeError:
+        pass
+    bound = f"in [{least}, {most}]" if most < math.inf else f">= {least}"
+    raise ConfigError(path, f"must be an integer {bound}{why}")
+
+
+def _read(path: str, read):
+    """read(); a value it cannot read (TypeError, ValueError or
+    OverflowError), or a file or JSON text it cannot decode (OSError;
+    JSONDecodeError and UnicodeDecodeError are ValueErrors), is a config
+    error naming path."""
+    try:
+        return read()
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    except RecursionError:
+        raise ConfigError(path, "JSON nested too deeply") from None
 
 
 def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:
     """The triple of a config or of a command line spec, named `triple` in
     errors; the nonhermitian model needs a symmetric one."""
-    try:
-        triple = triple_from_spec(spec)
-    except ValueError as exc:
-        raise ConfigError("triple", str(exc)) from exc
+    triple = _read("triple", lambda: triple_from_spec(spec))
     if model == "nonhermitian" and not is_symmetric(triple):
         raise ConfigError("triple", "nonhermitian model requires a symmetric triple")
     return triple
@@ -212,18 +226,10 @@ def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, dims
     """A P or L sample has E[n] = d * lam rank-one terms beyond the cut, with
     k = 1 sphere row each for P and k = 2 for L (_check_budget); lam and the
     cut are the sampler's own (hermitian._decompose)."""
-    try:
-        dec = _decompose(triple, cut)
-    except ValueError as exc:
-        raise ConfigError("triple", str(exc)) from exc
+    dec = _read("triple", lambda: _decompose(triple, cut))
     _check_budget(dims, trials, 2 if model == "nonhermitian" else 1, lambda d: d * dec.tail.lam,
                   (dim_field, "trials_per_dim", "triple"),
                   f"tail intensity {dec.tail.lam:g} beyond inner cut {dec.cut:g}")
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int in Python, but true is not a count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass
@@ -345,22 +351,14 @@ def _pool(laws) -> EmpiricalDistribution:
 def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     """The target law and evaluation grid of the cauchy_distance output."""
     path = "outputs.cauchy_distance"
-    if not isinstance(doc, dict):
-        raise ConfigError(path, "must be an object")
-    _check_keys(doc, path, "target", "grid")
-    g = doc.get("grid", {})
-    if not isinstance(g, dict):
-        raise ConfigError(f"{path}.grid", "must be an object")
-    _check_keys(g, f"{path}.grid", "real_range", "real_step", "imaginary_levels")
-    try:  # a key left out takes GridSpec's default
-        grid = GridSpec(**{key: _json_float(v) if key == "real_step"
-                           else tuple(map(_json_float, v)) for key, v in g.items()})
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.grid", str(exc)) from exc
-    spec = doc.get("target")
-    if not isinstance(spec, dict):
-        raise ConfigError(f"{path}.target", "missing")
-    _check_keys(spec, f"{path}.target", "law", "params")
+    _object(doc, path, "target", "grid")
+    g = _object(doc.get("grid", {}), f"{path}.grid", "real_range", "real_step",
+                "imaginary_levels")
+    # a key left out takes GridSpec's default
+    grid = _read(f"{path}.grid", lambda: GridSpec(**{
+        key: _json_float(v) if key == "real_step" else tuple(map(_json_float, v))
+        for key, v in g.items()}))
+    spec = _object(doc.get("target"), f"{path}.target", "law", "params")
     if "law" not in spec:
         raise ConfigError(f"{path}.target", "needs a 'law' entry")
     name = spec["law"]
@@ -369,10 +367,9 @@ def _parse_distance_target(doc) -> tuple[ReferenceLaw, GridSpec]:
     params = spec.get("params", [])
     if not isinstance(params, list):
         raise ConfigError(f"{path}.target.params", "must be a list of numbers")
-    try:  # the law refuses params that are not exactly its own, naming itself
-        return ReferenceLaw(name, tuple(map(_json_float, params))), grid
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{path}.target.params", str(exc)) from exc
+    # the law refuses params that are not exactly its own, naming itself
+    return _read(f"{path}.target.params",
+                 lambda: ReferenceLaw(name, tuple(map(_json_float, params)))), grid
 
 
 def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Report:
@@ -425,16 +422,6 @@ def _write_matrix(m: np.ndarray, out) -> None:
     out.write("]}\n")
 
 
-def _decode(field: str, read):
-    """read() of a JSON document; a failure is a config error naming field."""
-    try:
-        return read()
-    except (OSError, ValueError) as exc:  # JSONDecodeError and UnicodeDecodeError too
-        raise ConfigError(field, str(exc)) from exc
-    except RecursionError:
-        raise ConfigError(field, "JSON nested too deeply") from None
-
-
 def main(argv=None) -> int:
     import argparse
 
@@ -483,20 +470,19 @@ def main(argv=None) -> int:
 
 def _command(args) -> int:
     """Run one parsed command line; every config problem raises ConfigError."""
-    for name, least in (("dim", 1), ("trials", 1), ("kmax", 1), ("count", 0)):
-        value = getattr(args, name, None)
-        if value is not None and value < least:
-            raise ConfigError(f"--{name}", f"must be >= {least}")
-    if not 0 <= getattr(args, "seed", 0) < SEED_LIMIT:
-        raise ConfigError("--seed", f"must be in [0, {SEED_LIMIT})")
+    for name, least, most in (("dim", 1, math.inf), ("trials", 1, math.inf),
+                              ("kmax", 1, MAX_KMAX), ("count", 0, math.inf),
+                              ("seed", 0, SEED_LIMIT - 1)):
+        if hasattr(args, name):
+            _integer(f"--{name}", getattr(args, name), least, most)
 
     if args.command == "run":
-        doc = _decode("config", lambda: json.loads(Path(args.config).read_text("utf-8")))
+        doc = _read("config", lambda: json.loads(Path(args.config).read_text("utf-8")))
         _write_report(run(ExperimentConfig.from_dict(doc)), args.out)
         return 0
 
     if args.command == "sample":
-        triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)), args.model)
+        triple = _parse_triple(_read("triple", lambda: json.loads(args.triple)), args.model)
         _check_sample_budget(args.model, triple, None, [args.dim], "--dim")
         sample_many = sample_P_many if args.model == "hermitian" else sample_L_many
         m = sample_many(triple, args.dim, RngStream(args.seed, 0), 1)[0].entries
@@ -504,9 +490,7 @@ def _command(args) -> int:
         return 0
 
     if args.command == "moments":
-        if args.kmax > MAX_KMAX:
-            raise ConfigError("--kmax", f"must be <= {MAX_KMAX}")
-        triple = _parse_triple(_decode("triple", lambda: json.loads(args.triple)))
+        triple = _parse_triple(_read("triple", lambda: json.loads(args.triple)))
         values = psi_image_moments(triple, args.kmax).values
         if not all(map(math.isfinite, values)):
             raise ConfigError("triple", "its moments overflow a float")

@@ -371,10 +371,13 @@ def _parse_spec(spec) -> LevyTriple:
         if name == "cauchy":
             _check_keys(spec, "preset", "a", "nodes")
             a = _number(spec, "a")
-            nodes = _number(spec, "nodes", 401)
-            if not nodes.is_integer() or not 8 <= nodes <= MAX_CAUCHY_NODES:
+            try:
+                nodes = _json_int(spec.get("nodes", 401))
+            except TypeError:
+                nodes = 0  # refused below
+            if not 8 <= nodes <= MAX_CAUCHY_NODES:
                 raise ValueError(f"'nodes' must be an integer in [8, {MAX_CAUCHY_NODES}]")
-            return cauchy(a, int(nodes))
+            return cauchy(a, nodes)
         if name == "dirac":
             _check_keys(spec, "preset", "a")
             return dirac(_number(spec, "a"))
@@ -408,10 +411,20 @@ def _number(spec: dict, key: str, default: float | None = None) -> float:
 
 
 def _json_float(value) -> float:
-    """float(value) of a JSON number: true and false are not numbers."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is not a number")
+    """float(value) of a JSON number, an int or a float: true, false and
+    strings are not numbers (TypeError), and an int that no float holds
+    raises OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"a {type(value).__name__} is not a number")
     return float(value)
+
+
+def _json_int(value) -> int:
+    """value, a JSON integer: an int that is not a bool (TypeError otherwise),
+    since true is not a count."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"a {type(value).__name__} is not an integer")
+    return value
 
 
 def triple_to_spec(t: LevyTriple) -> dict:

@@ -118,12 +118,84 @@ def test_good_config_parses():
         ({"dims": [2, 2]}, "dims"),
         # each bin is a pair in the report: 2**26 of them would need about 29 GB
         ({"outputs": {"histogram": {"bins": 2**26}}}, "outputs.histogram.bins"),
+        # a JSON number is an int or a float that a float holds, and nothing else
+        ({"inner_cut": 10**400}, "inner_cut"),
+        ({"triple": {"preset": "poisson", "lambda": "0.5"}}, "triple"),
+        ({"triple": {"gamma": 0, "atoms": ["12"]}}, "triple"),
+        ({"triple": {"preset": "cauchy", "a": 1, "nodes": 401.0}}, "triple"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"real_range": "19"}}}},
+         "outputs.cauchy_distance.grid"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"real_step": "0.5"}}}},
+         "outputs.cauchy_distance.grid"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [1.0]},
+                                          "grid": {"imaginary_levels": {"2": 0}}}}},
+         "outputs.cauchy_distance.grid"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": ["1"]}}}},
+         "outputs.cauchy_distance.target.params"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(config(**overrides))
     assert err.value.path == path
+
+
+# Every numeric field of a config, the triple's through each form of spec.
+ALL_NUMBERS = {
+    "model": "hermitian",
+    "triple": {"convolve": [
+        {"preset": "gaussian", "mean": 0.0, "var": 1.0},
+        {"preset": "poisson", "lambda": 0.5},
+        {"preset": "cauchy", "a": 1.0, "nodes": 16},
+        {"preset": "dirac", "a": 2.0},
+        {"gamma": 0.5, "atoms": [[1.0, 0.25], [-1.0, 0.25]]},
+    ]},
+    "dims": [3, 5],
+    "trials_per_dim": 2,
+    "seed": 11,
+    "inner_cut": 0.5,
+    "outputs": {
+        "moments": {"kmax": 3},
+        "histogram": {"bins": 10},
+        "cauchy_distance": {
+            "target": {"law": "semicircle", "params": [0.0, 2.0]},
+            "grid": {"real_range": [-4.0, 4.0], "real_step": 0.5, "imaginary_levels": [1.0, 2.0]},
+        },
+    },
+}
+
+
+def _number_leaves(doc, keys=()):
+    """The key paths of the numbers in doc, a tuple of keys and indices each."""
+    if isinstance(doc, dict):
+        doc = doc.items()
+    elif isinstance(doc, list):
+        doc = enumerate(doc)
+    else:
+        return [keys] if isinstance(doc, (int, float)) else []
+    return [leaf for key, value in doc for leaf in _number_leaves(value, keys + (key,))]
+
+
+def test_a_number_written_as_a_string_is_refused():
+    ExperimentConfig.from_dict(ALL_NUMBERS)
+    leaves = _number_leaves(ALL_NUMBERS)
+    assert len(leaves) == 25
+    for keys in leaves:
+        doc = json.loads(json.dumps(ALL_NUMBERS))
+        *parents, last = keys
+        holder = doc
+        for key in parents:
+            holder = holder[key]
+        holder[last] = str(holder[last])
+        # the triple and the grid are refused whole, a list's element under the list
+        names = [key for key in keys if isinstance(key, str)]
+        field = ("triple" if names[0] == "triple"
+                 else ".".join(names[:-1] if "grid" in names else names))
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict(doc)
+        assert err.value.path == field, keys
 
 
 def test_histogram_bins_are_charged_per_dim():
@@ -310,7 +382,8 @@ def test_cli_moments_rejects_bad_spec(capsys):
     for spec, name in [({"preset": "gaussian", "mean": 0}, "'var'"),
                        ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "'mean'"),
                        ({"gamma": float("inf")}, "'gamma'"),
-                       ({"gamma": 0, "atoms": [[1e100, 1]]}, "triple")]:
+                       ({"gamma": 0, "atoms": [[1e100, 1]]}, "triple"),
+                       ({"preset": "poisson", "lambda": "0.5"}, "'lambda'")]:
         capsys.readouterr()
         assert main(["moments", json.dumps(spec)]) == 2
         assert name in capsys.readouterr().err
