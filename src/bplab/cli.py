@@ -437,8 +437,8 @@ def main(argv=None) -> int:
 
     p_sample = sub.add_parser("sample", help="draw one matrix sample")
     p_sample.add_argument("triple", help="JSON triple spec")
-    p_sample.add_argument("--dim", type=int, required=True)
-    p_sample.add_argument("--seed", type=int, default=0)
+    p_sample.add_argument("--dim", required=True)
+    p_sample.add_argument("--seed", default="0")
     p_sample.add_argument("--model", choices=("hermitian", "nonhermitian"),
                           default="hermitian")
 
@@ -446,13 +446,13 @@ def main(argv=None) -> int:
         "moments", help="print the free-image moments of a triple"
     )
     p_moments.add_argument("triple", help="JSON triple spec")
-    p_moments.add_argument("--kmax", type=int, default=4)
+    p_moments.add_argument("--kmax", default="4")
 
     p_proj = sub.add_parser("project", help="fixed-count projection experiment")
-    p_proj.add_argument("--dim", type=int, required=True)
-    p_proj.add_argument("--count", type=int, required=True)
-    p_proj.add_argument("--trials", type=int, default=10)
-    p_proj.add_argument("--seed", type=int, default=0)
+    p_proj.add_argument("--dim", required=True)
+    p_proj.add_argument("--count", required=True)
+    p_proj.add_argument("--trials", default="10")
+    p_proj.add_argument("--seed", default="0")
     p_proj.add_argument("--out", default=None)
 
     sub.add_parser("verify", help="run the built-in acceptance suite")
@@ -469,12 +469,18 @@ def main(argv=None) -> int:
 
 
 def _command(args) -> int:
-    """Run one parsed command line; every config problem raises ConfigError."""
+    """Run one parsed command line; every config problem raises ConfigError.
+    An integer flag's text is a JSON integer with nothing around it."""
     for name, least, most in (("dim", 1, math.inf), ("trials", 1, math.inf),
                               ("kmax", 1, MAX_KMAX), ("count", 0, math.inf),
                               ("seed", 0, SEED_LIMIT - 1)):
         if hasattr(args, name):
-            _integer(f"--{name}", getattr(args, name), least, most)
+            text = getattr(args, name)
+            try:
+                value = json.loads(text) if text == text.strip() else text
+            except (ValueError, RecursionError):
+                value = text  # a str, which _integer refuses
+            setattr(args, name, _integer(f"--{name}", value, least, most))
 
     if args.command == "run":
         doc = _read("config", lambda: json.loads(Path(args.config).read_text("utf-8")))

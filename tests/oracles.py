@@ -99,31 +99,33 @@ def merge_atoms_scan(atoms, tol=1e-12):
     return tuple((loc, merged[loc]) for loc in sorted(order))
 
 
-def is_symmetric_scan(t, tol=1e-9):
-    """Symmetry of a triple by the pairwise O(n^2) scan: gamma = 0, and each
-    atom with |u| > 1e-12 has a partner, the first atom um in sorted order
-    with |um + u| <= max(tol, 1e-12), whose weight matches within tol if u > 0."""
+def is_symmetric_matching(t, tol=1e-9):
+    """Symmetry of a triple by bipartite matching: gamma within tol of 0, and
+    a bijection of the jumps (atoms with |u| > 1e-12) onto themselves taking
+    each (u, w) to a (u', w') with |u + u'| <= max(tol, 1e-12) and
+    |w - w'| <= tol, searched for by augmenting paths."""
     if abs(t.gamma) > tol:
         return False
-    atoms = list(t.G.atoms)
-    for u, w in atoms:
-        if u <= 1e-12:
-            continue
-        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
-        if partner is None or abs(partner - w) > tol:
-            return False
-    for u, w in atoms:
-        if u >= -1e-12:
-            continue
-        partner = next((wm for um, wm in atoms if abs(um + u) <= max(tol, 1e-12)), None)
-        if partner is None:
-            return False
-    return True
+    jumps = [(u, w) for u, w in t.G.atoms.tolist() if abs(u) > 1e-12]
+    eps = max(tol, 1e-12)
+    source = [None] * len(jumps)  # source[j]: the jump mapped onto jump j
+
+    def augment(i, seen):
+        u, w = jumps[i]
+        for j, (v, x) in enumerate(jumps):
+            if j not in seen and abs(u + v) <= eps and abs(w - x) <= tol:
+                seen.add(j)
+                if source[j] is None or augment(source[j], seen):
+                    source[j] = i
+                    return True
+        return False
+
+    return all(augment(i, set()) for i in range(len(jumps)))
 
 
 def integrate_scan(g, f):
     """Sum of weight * f(u) over the atoms of g, by a Python loop from 0."""
-    return sum(w * f(u) for u, w in g.atoms)
+    return sum(w * f(u) for u, w in g.atoms.tolist())
 
 
 def cumulants_scan(t, kmax):
@@ -139,7 +141,7 @@ def compound_poisson_scan(rho, lam):
     """(gamma, atoms) of the compound Poisson triple, atom by atom: weights
     lam w u^2/(1+u^2) off 0, merged as a FiniteMeasure, and gamma = lam int
     u/(1+u^2) drho."""
-    atoms = tuple((u, lam * w * u * u / (1.0 + u * u)) for u, w in rho.atoms if u != 0.0)
+    atoms = tuple((u, lam * w * u * u / (1.0 + u * u)) for u, w in rho.atoms.tolist() if u != 0.0)
     return lam * integrate_scan(rho, lambda u: u / (1.0 + u * u)), FiniteMeasure(atoms).atoms
 
 

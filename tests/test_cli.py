@@ -134,6 +134,9 @@ def test_good_config_parses():
          "outputs.cauchy_distance.grid"),
         ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": ["1"]}}}},
          "outputs.cauchy_distance.target.params"),
+        # atoms are a list: an empty string or object is not one with no atoms
+        ({"triple": {"gamma": 0, "atoms": ""}}, "triple"),
+        ({"triple": {"gamma": 0, "atoms": {}}}, "triple"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -383,7 +386,9 @@ def test_cli_moments_rejects_bad_spec(capsys):
                        ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "'mean'"),
                        ({"gamma": float("inf")}, "'gamma'"),
                        ({"gamma": 0, "atoms": [[1e100, 1]]}, "triple"),
-                       ({"preset": "poisson", "lambda": "0.5"}, "'lambda'")]:
+                       ({"preset": "poisson", "lambda": "0.5"}, "'lambda'"),
+                       ({"gamma": 0, "atoms": ""}, "'atoms'"),
+                       ({"gamma": 0, "atoms": {}}, "'atoms'")]:
         capsys.readouterr()
         assert main(["moments", json.dumps(spec)]) == 2
         assert name in capsys.readouterr().err
@@ -406,6 +411,11 @@ def test_cli_moments_rejects_bad_spec(capsys):
          "config error: triple: unknown key 'node'"),
         (["sample", '{"preset":"dirac","a":1}', "--dim", "2", "--seed", "-1"], "--seed"),
         (["project", "--dim", "4", "--count", "1", "--seed", str(2**64)], "--seed"),
+        # a flag's text is a JSON integer with nothing around it
+        (["project", "--dim", "1_0", "--count", "2", "--trials", "1"], "--dim"),
+        (["project", "--dim", "4", "--count", " 2", "--trials", "1"], "--count"),
+        (["moments", '{"preset":"dirac","a":1}', "--kmax", "+3"], "--kmax"),
+        (["project", "--dim", "4", "--count", "1", "--trials", "2.0"], "--trials"),
     ],
 )
 def test_cli_bad_integer_arguments_exit_2(argv, name, capsys):
@@ -450,6 +460,21 @@ def test_cli_run_statistics_that_overflow_exit_2(tmp_path, capsys, a, kmax):
 def test_cli_sample_nonhermitian_needs_symmetry(capsys):
     spec = json.dumps({"preset": "poisson", "lambda": 1.0})
     assert main(["sample", spec, "--dim", "3", "--model", "nonhermitian"]) == 2
+
+
+@pytest.mark.parametrize("atoms, status", [
+    # exactly symmetric, with two jumps 5e-10 apart on each side
+    ([[1, 0.5], [-1, 0.5], [1.0000000005, 0.25], [-1.0000000005, 0.25]], 0),
+    # -1 is within 1e-9 of the mirror of both positive jumps; c_1 = 0.5
+    ([[-1, 0.5], [1, 0.5], [1.0000000005, 0.5]], 2),
+])
+def test_cli_run_nonhermitian_mirrors_each_jump(atoms, status, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": "nonhermitian", "triple": {"gamma": 0, "atoms": atoms},
+                                "dims": [4], "trials_per_dim": 1}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == status
+    err = capsys.readouterr().err
+    assert "config error: triple:" in err if status else err == ""
 
 
 def test_cli_run_writes_reports(tmp_path, capsys):
