@@ -2,9 +2,10 @@
 classical-to-free relabeling that realizes the Bercovici-Pata map at the
 cumulant level.
 
-Production transforms use the triangular recursions (cheap up to order ~30);
-the lattice sums over Part(k) / NC(k) are retained in the test suite as
-oracles.
+Both directions are one walk of the triangular recursion over the orders:
+O(k^2) Python steps for the classical kind and O(k^3) for the free kind, a
+few ms at order 64.  The lattice sums over Part(k) / NC(k) are retained in
+the test suite as oracles.
 """
 
 from __future__ import annotations
@@ -72,51 +73,50 @@ class CumulantSequence:
         )
 
 
-def _classical_moments(c: list[float]) -> list[float]:
-    # m_n = sum_j C(n-1, j-1) c_j m_{n-j}, m_0 = 1
-    kmax = len(c)
-    m = [1.0] + [0.0] * kmax
-    for n in range(1, kmax + 1):
-        m[n] = sum(math.comb(n - 1, j - 1) * c[j - 1] * m[n - j] for j in range(1, n + 1))
-    return m[1:]
-
-
-def _free_moments(c: list[float]) -> list[float]:
-    # m_n = sum_s c_s * sum over s-tuples of moment indices summing to n-s;
-    # the inner sums h[s][m] are built by convolution of the moment sequence.
-    kmax = len(c)
-    m = [1.0] + [0.0] * kmax
-    for n in range(1, kmax + 1):
-        conv = m[:n]  # h[s=1][t] = m_t for t = 0..n-1
-        total = c[0] * conv[n - 1]
-        for s in range(2, n + 1):
-            conv = [sum(conv[j] * m[t - j] for j in range(t + 1)) for t in range(n)]
-            total += c[s - 1] * conv[n - s]
-        m[n] = total
-    return m[1:]
+def _walk(kind: str, values: tuple[float, ...], inverse: bool) -> tuple[float, ...]:
+    """One walk over the orders n = 1..k of m_n = r_n + c_n, where r_n uses
+    lower orders only:
+      classical  r_n = sum_{j<n} C(n-1, j-1) c_j m_{n-j},
+      free       r_n = sum_{s<n} c_s h_s[n-s],  h_s[t] = [z^t] M(z)^s.
+    Forward, values are the cumulants and m_n is the order-n sum; inverse,
+    they are the moments and c_n = m_n - (the same sum with c_n = 0.0).  The
+    sum adds its terms in one fixed order, its c_n term included, and the
+    free one starts from its first term, as 0 + -0.0 would be 0.0.  Each
+    h_s[t], s + t <= k, is summed once, as soon as m_t is known; h_1 is m
+    itself, as a sum would turn an infinite m_t into nan (0.0 * inf)."""
+    k = len(values)
+    m, c = [1.0], []  # m_0 = 1
+    h = [None, m] + [[] for _ in range(k - 1)]  # h[s][t] for s = 1..k
+    for n in range(1, k + 1):
+        if kind == "free":  # m_{n-1} is known: the column t = n - 1 of h
+            for s in range(2, k - n + 2):
+                h[s].append(sum(a * b for a, b in zip(h[s - 1], reversed(m))))
+        c.append(0.0 if inverse else values[n - 1])
+        if kind == "classical":
+            total = sum(math.comb(n - 1, j - 1) * c[j - 1] * m[n - j] for j in range(1, n + 1))
+        else:
+            total = c[0] * m[n - 1]
+            for s in range(2, n + 1):
+                total += c[s - 1] * h[s][n - s]
+        if inverse:
+            c[-1] = values[n - 1] - total
+        m.append(values[n - 1] if inverse else total)
+    return tuple(c) if inverse else tuple(m[1:])
 
 
 def moments_from_cumulants(c: CumulantSequence) -> MomentSequence:
     """Moments from cumulants: sum over Part(k) (classical) or NC(k) (free)
-    of the product of c_{|V|} over blocks, evaluated by triangular recursion."""
-    vals = list(c.values)
-    if c.kind == "classical":
-        return MomentSequence(tuple(_classical_moments(vals)))
-    return MomentSequence(tuple(_free_moments(vals)))
+    of the product of c_{|V|} over blocks, evaluated by triangular recursion
+    (_walk)."""
+    return MomentSequence(_walk(c.kind, c.values, inverse=False))
 
 
 def cumulants_from_moments(m: MomentSequence, kind: str) -> CumulantSequence:
-    """Exact inverse of moments_from_cumulants for the given kind."""
+    """Exact inverse of moments_from_cumulants for the given kind: the
+    order-n moment depends on c_n with unit coefficient (_walk)."""
     if kind not in ("classical", "free"):
         raise ValueError(f"unknown cumulant kind {kind!r}")
-    kmax = m.kmax
-    c: list[float] = []
-    for n in range(1, kmax + 1):
-        # the order-n transform depends linearly on c_n with unit coefficient
-        trial = c + [0.0]
-        partial = moments_from_cumulants(CumulantSequence(kind, tuple(trial)))
-        c.append(m[n] - partial[n])
-    return CumulantSequence(kind, tuple(c))
+    return CumulantSequence(kind, _walk(kind, m.values, inverse=True))
 
 
 def bp_transport(c: CumulantSequence) -> CumulantSequence:

@@ -264,22 +264,21 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
     set in its own basis (sphere.sample_sphere_vectors, n x n), then the key
     of the Haar columns that place them in C^d (_Sample.entries).
     Otherwise each w_k is drawn right after its u_k, BLOCK jumps at a time,
-    into one buffer, and their products are summed into one d x d array: the
-    rows are the same bits in any chunking (rng.py), and only
-    O(d^2 + BLOCK d) entries are held.  The buffer is worked in place: with
-    pairs the u_k are scaled by x_k there, and the w_k are conjugated there,
-    which are the bits of u.T * x and w.conj()."""
+    and their products are summed into one d x d array: the rows are the
+    same bits in any chunking (rng.py), and as each block's rows are freed
+    before the next are drawn, only O(d^2 + BLOCK d) entries are held.  The
+    rows are worked in place: with pairs the u_k are scaled by x_k there,
+    and the w_k are conjugated there, which are the bits of u.T * x and
+    w.conj()."""
     n = x.size
     if n < d and not summed:
         u = sample_sphere_vectors(d, n, gen, own_basis=True)
         w = sample_sphere_vectors(d, n, gen, own_basis=True) if pairs else u
         return x, u, w, int(gen.integers(2**63))
     k = 2 if pairs else 1
-    rows = np.empty((k * min(n, BLOCK), d), dtype=complex)  # reused by every block
     r = None
     for xb in np.split(x, range(BLOCK, n, BLOCK)):
-        m = k * xb.size
-        block = sample_sphere_vectors(d, m, gen, rows[:m]).reshape(xb.size, k, d)
+        block = sample_sphere_vectors(d, k * xb.size, gen).reshape(xb.size, k, d)
         u, w = block[:, 0], block[:, -1]
         if pairs:
             u *= xb[:, None]
@@ -291,7 +290,7 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
             r = xu @ w
         else:
             r += xu @ w
-        del xu  # like the product, freed before the next block's rows are drawn
+        del block, u, w, xu  # like the product, freed before the next rows are drawn
     return r
 
 

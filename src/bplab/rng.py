@@ -58,13 +58,11 @@ def standard_normal(gen: np.random.Generator, size) -> np.ndarray:
     return gen.standard_normal(size)
 
 
-def standard_complex_normal(gen: np.random.Generator, size, out=None) -> np.ndarray:
+def standard_complex_normal(gen: np.random.Generator, size) -> np.ndarray:
     """Standard complex Gaussians, real and imaginary parts N(0, 1/2) each,
-    drawn as consecutive (re, im) pairs, into `out` when it is given (a
-    C-contiguous complex array of that shape)."""
+    drawn as consecutive (re, im) pairs."""
     shape = (size,) if np.ndim(size) == 0 else tuple(size)
-    if out is None:
-        out = np.empty(shape, dtype=complex)
+    out = np.empty(shape, dtype=complex)
     parts = out.view(float).reshape(shape + (2,))
     gen.standard_normal(out=parts)
     # numpy divides a complex by a real c as a multiply by 1 / c, so scaling

@@ -48,8 +48,8 @@ MAX_ENTRIES = 2**26
 MAX_FLOPS = 2**39
 
 # The highest moment order a run or `bplab moments` may ask for.  The free
-# moments of a triple cost O(kmax^4) Python steps: 0.19 s at 64, 0.9 s at
-# 100 and minutes beyond a few hundred.
+# moments of a triple cost O(kmax^3) Python steps (cumulants._walk): on one
+# Xeon core, 9 ms at 64, 23 ms at 100 and 0.5 s at 300.
 MAX_KMAX = 64
 
 

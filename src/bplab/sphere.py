@@ -34,11 +34,11 @@ NORM_ENTRIES = 2**14
 
 
 def sample_sphere_vectors(
-    d: int, n: int, rng: RngStream | np.random.Generator, out=None, own_basis: bool = False
+    d: int, n: int, rng: RngStream | np.random.Generator, own_basis: bool = False
 ) -> np.ndarray:
-    """n uniform sphere vectors as the rows of an (n, d) complex array, or of
-    `out` when it is given: each a standard complex Gaussian vector,
-    renormalized about NORM_ENTRIES entries at a time.
+    """n uniform sphere vectors as the rows of an (n, d) complex array: each
+    a standard complex Gaussian vector, renormalized about NORM_ENTRIES
+    entries at a time.
 
     With own_basis, the rows come in their own basis, the orthonormal one
     that Gram-Schmidt builds from them in order: an (n, min(n, d)) lower
@@ -55,8 +55,6 @@ def sample_sphere_vectors(
         raise ValueError("d must be positive")
     gen = as_generator(rng)
     if own_basis:
-        if out is not None:
-            raise ValueError("own-basis rows are drawn into an array of their own")
         m = min(n, d)
         below = np.tri(n, m, -1, dtype=bool)
         z = np.zeros((n, m), dtype=complex)
@@ -64,7 +62,7 @@ def sample_sphere_vectors(
         diag = np.arange(m)
         z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
     else:
-        z = standard_complex_normal(gen, (n, d), out)
+        z = standard_complex_normal(gen, (n, d))
     # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal);
     # each row's norm is its own reduction, so any chunking gives the same bits
     parts = z.view(float)

@@ -103,9 +103,9 @@ def test_blocked_spectra_agree_with_the_one_product_sum(d, n):
 def test_blocked_rows_are_one_draw_bit_for_bit(monkeypatch, n, pairs):
     drawn = []
 
-    def recording(d, count, rng, out=None):
-        rows = sample_sphere_vectors(d, count, rng, out)
-        drawn.append(rows.copy())  # out is the next block's buffer too
+    def recording(d, count, rng):
+        rows = sample_sphere_vectors(d, count, rng)
+        drawn.append(rows.copy())  # the sum works the rows in place
         return rows
 
     monkeypatch.setattr(hermitian, "sample_sphere_vectors", recording)

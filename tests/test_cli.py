@@ -616,6 +616,26 @@ def test_kmax_bound_admits_max_kmax(capsys):
     assert len(capsys.readouterr().out.split()) == MAX_KMAX
 
 
+# SHA-256 of the stdout of `bplab moments <spec> --kmax 64`, recorded (x86-64,
+# CPython 3.11) when each order of the free transform rebuilt every power of
+# the moment series, and each lower order of the inverse ran the whole
+# forward transform
+MOMENTS_STDOUT = [
+    ('{"preset":"poisson","lambda":0.5}',
+     "666e4f79884ea3542f5d3ee2fff2dc69ebd4b4acb9ad308541d20e33f0dca603"),
+    ('{"gamma":0.3,"atoms":[[0,0.5],[1,0.25],[-0.5,0.125]]}',
+     "09b9cb9319715505861bb4ce8513a90b3d289b7461d77512e909371ee6b34853"),
+    ('{"gamma":0,"atoms":[[1,0.25],[-1,0.25]]}',  # zero odd moments
+     "1cfe0989cdc7dcb5ce5d76004232b71876c0ae3cd801ac1f1e45456d52108bfa"),
+]
+
+
+@pytest.mark.parametrize("spec, sha", MOMENTS_STDOUT, ids=["poisson", "mixed", "symmetric"])
+def test_moments_at_max_kmax_keep_their_bytes(capsys, spec, sha):
+    assert main(["moments", spec, "--kmax", str(MAX_KMAX)]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == sha
+
+
 @pytest.mark.parametrize(
     "argv, field",
     [

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +44,26 @@ def test_standard_semicircle_moments():
 def test_free_poisson_moments():
     c = CumulantSequence("free", (1.0, 1.0, 1.0))
     assert moments_from_cumulants(c).values == (1.0, 2.0, 5.0)
+
+
+CATALAN = tuple(math.comb(2 * n, n) // (n + 1) for n in range(1, 25))  # all below 2**53
+
+
+def test_free_poisson_moments_are_catalan_to_order_24():
+    c = CumulantSequence("free", (1.0,) * 24)
+    assert moments_from_cumulants(c).values == CATALAN
+
+
+def test_semicircle_even_moments_are_catalan_to_order_48():
+    c = CumulantSequence("free", (0.0, 1.0) + (0.0,) * 46)
+    m = moments_from_cumulants(c).values
+    assert m[1::2] == CATALAN and m[::2] == (0.0,) * 24
+
+
+def test_free_round_trip_at_order_24():
+    c = CumulantSequence("free", tuple(np.random.default_rng(24).uniform(-0.5, 0.5, 24)))
+    back = cumulants_from_moments(moments_from_cumulants(c), "free")
+    assert np.allclose(back.values, c.values, rtol=1e-8, atol=1e-8)
 
 
 @pytest.mark.parametrize("kind", ("classical", "free"))

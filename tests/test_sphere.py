@@ -69,11 +69,6 @@ def test_chunked_row_norms_keep_the_whole_array_bytes(d, own_basis):
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_own_basis_rows_take_no_out_array():
-    with pytest.raises(ValueError):
-        sample_sphere_vectors(4, 2, RngStream(0, 4), np.empty((2, 4), complex), own_basis=True)
-
-
 @pytest.mark.parametrize("d, n", [(3, 2), (6, 4), (12, 11)])
 def test_own_basis_inner_products_have_the_sphere_moments(d, n):
     # |<u_i, u_j>|^2 of two independent uniform rows is the first coordinate
