@@ -13,7 +13,8 @@ import numpy as np
 
 from .levy import (CompoundPoissonParams, FiniteMeasure, LevyTriple, at_zero, running_sum,
                    truncate)
-from .rng import RngStream, as_generator, standard_complex_normal, standard_normal
+from .rng import (RngStream, as_generator, standard_complex_normal, standard_normal, sub_key,
+                  sub_stream)
 from .sphere import sample_sphere_vectors
 
 __all__ = [
@@ -85,13 +86,13 @@ class _Sample:
         (_dense) plus the shift on the diagonal, over the kept sum or the
         fresh product.  Factors are placed in C^d as V_u C V_w^* with the
         core C of spectrum and d x n Haar columns V_u and V_w (V_w = V_u when
-        w is u) drawn from Philox(key)."""
+        w is u) drawn from the key's sub-stream (rng.sub_stream)."""
         d = self.dim
         if self.tail is None:
             return self.block if self.block is not None else self.shift * np.eye(d, dtype=complex)
         if isinstance(self.tail, tuple):
             x, u, w, key = self.tail
-            gen = np.random.Generator(np.random.Philox(key=key))
+            gen = sub_stream(key)
             v = _haar_columns(d, x.size, gen)  # V_u
             left = v @ ((u.T * x) @ w.conj())
             if w is not u:  # V_u is no longer needed when V_w is drawn
@@ -261,24 +262,26 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
     """The tail sum_k x_k u_k w_k^* over the n = x.size jumps x and sphere
     rows u_k; w is u, or with pairs the independent rows w_k.  For n < d,
     unless summed, the factors (x, u, w, key): the u_k, then the w_k, each
-    set in its own basis (sphere.sample_sphere_vectors, n x n), then the key
-    of the Haar columns that place them in C^d (_Sample.entries).
-    Otherwise each w_k is drawn right after its u_k, BLOCK jumps at a time,
-    and their products are summed into one d x d array: the rows are the
-    same bits in any chunking (rng.py), and as each block's rows are freed
-    before the next are drawn, only O(d^2 + BLOCK d) entries are held.  The
-    rows are worked in place: with pairs the u_k are scaled by x_k there,
-    and the w_k are conjugated there, which are the bits of u.T * x and
-    w.conj()."""
+    set in its own basis (sphere.sample_sphere_vectors, n x n) and drawn
+    from gen, then the key of the Haar columns that place them in C^d
+    (_Sample.entries).  Otherwise one key is drawn from gen, and its
+    sub-stream (rng.sub_stream) draws each w_k right after its u_k, BLOCK
+    jumps at a time; their products are summed into one d x d array: the
+    rows are the same bits in any chunking (rng.py), and as each block's
+    rows are freed before the next are drawn, only O(d^2 + BLOCK d) entries
+    are held.  The rows are worked in place: with pairs the u_k are scaled
+    by x_k there, and the w_k are conjugated there, which are the bits of
+    u.T * x and w.conj()."""
     n = x.size
     if n < d and not summed:
         u = sample_sphere_vectors(d, n, gen, own_basis=True)
         w = sample_sphere_vectors(d, n, gen, own_basis=True) if pairs else u
-        return x, u, w, int(gen.integers(2**63))
+        return x, u, w, sub_key(gen)
+    row_stream = sub_stream(sub_key(gen))
     k = 2 if pairs else 1
     r = None
     for xb in np.split(x, range(BLOCK, n, BLOCK)):
-        block = sample_sphere_vectors(d, k * xb.size, gen).reshape(xb.size, k, d)
+        block = sample_sphere_vectors(d, k * xb.size, row_stream).reshape(xb.size, k, d)
         u, w = block[:, 0], block[:, -1]
         if pairs:
             u *= xb[:, None]
@@ -345,7 +348,8 @@ def _sample_composite(
 ) -> list:
     """The composite sampler of both models: per sample, the sample
     gaussian_block(mean, var, d, gen) given, when the cut leaves a tail, the
-    tail of rank_one(rho, lam, d, gen), all drawn from one generator.  A
+    tail of rank_one(rho, lam, d, gen), all drawn from one generator or
+    from sub-streams keyed by it (_rank_one_terms).  A
     sample with a dense block has its tail summed, as its spectrum needs the
     entries, and added into the block as soon as it is drawn (_with_tail),
     so that one d x d array is kept.  Callers pass the blocks by their

@@ -295,8 +295,10 @@ def cauchy(a: float, n_nodes: int = 401) -> LevyTriple:
 
     Nodes are equal-mass in the arctan scale over [-T, T] with T = 1000 a,
     plus a tail-correction atom at each end carrying the remaining mass, so
-    the total mass of G is exactly a.  The resulting Levy exponent tracks
-    the exact -a|x| to a few parts in a thousand at the default node count.
+    the total mass of G is a, up to the rounding of the cell masses.  The
+    negative nodes are the positive ones negated, so the law is exactly
+    symmetric.  The resulting Levy exponent tracks the exact -a|x| to a few
+    parts in a thousand at the default node count.
     """
     if a <= 0:
         raise ValueError("a must be positive")
@@ -305,10 +307,14 @@ def cauchy(a: float, n_nodes: int = 401) -> LevyTriple:
     T = 1e3 * a
     theta_max = math.atan(T)
     edges = np.linspace(-theta_max, theta_max, n_nodes + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
+    locs = np.tan(0.5 * (edges[:-1] + edges[1:]))
     mass = a * (edges[1:] - edges[:-1]) / math.pi  # G(dtheta) = a/pi dtheta
+    # the negative half is the positive half negated, in locations and
+    # masses, so G is exactly symmetric: linspace rounds its halves apart
+    half = n_nodes // 2
+    locs[:half], mass[:half] = -locs[: -half - 1 : -1], mass[: -half - 1 : -1]
     tail = a * (math.pi / 2.0 - theta_max) / math.pi
-    atoms = np.column_stack((np.append(np.tan(mids), (-T, T)), np.append(mass, (tail, tail))))
+    atoms = np.column_stack((np.append(locs, (-T, T)), np.append(mass, (tail, tail))))
     return LevyTriple(0.0, FiniteMeasure(atoms))
 
 

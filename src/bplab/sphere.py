@@ -63,12 +63,13 @@ def sample_sphere_vectors(
         z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
     else:
         z = standard_complex_normal(gen, (n, d))
-    # the bits of z /= norm, scaled on the (re, im) view (rng.standard_complex_normal);
-    # each row's norm is its own reduction, so any chunking gives the same bits
+    # scaled on the (re, im) view (rng.standard_complex_normal); each row's
+    # norm is its own reduction, so any chunking gives the same bits
     parts = z.view(float)
     step = max(1, NORM_ENTRIES // d)
     for i in range(0, n, step):
-        parts[i : i + step] *= 1.0 / np.linalg.norm(z[i : i + step], axis=1, keepdims=True)
+        rows = parts[i : i + step]
+        rows *= 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
     return z
 
 

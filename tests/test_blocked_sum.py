@@ -1,7 +1,8 @@
 """The blocked rank-one sum: a sample with n >= d rank-one terms draws its
-sphere rows BLOCK jumps at a time and keeps only their d x d sum.  The rows
-are the same bits as one draw of all of them, one block is the one product
-of all rows byte for byte, and more blocks move the sum in its last bits."""
+sphere rows from the sub-stream of one key, BLOCK jumps at a time, and keeps
+only their d x d sum.  The rows are the same bits as one draw of all of
+them, one block is the one product of all rows byte for byte, and more
+blocks move the sum in its last bits."""
 
 import tracemalloc
 
@@ -12,7 +13,7 @@ from bplab import hermitian
 from bplab.hermitian import BLOCK, HermitianSample, _draw_jumps, _rank_one_sum, sample_P_many
 from bplab.levy import FiniteMeasure, LevyTriple, cauchy, convolve, gaussian, poisson
 from bplab.nonhermitian import ComplexMatrixSample, sample_L_many, singular_values
-from bplab.rng import RngStream
+from bplab.rng import RngStream, sub_key, sub_stream
 from bplab.spectra import esd
 from bplab.sphere import sample_sphere_vectors
 
@@ -39,10 +40,12 @@ def _blocked(d, n, pairs, seed):
 
 
 def _one_product(d, n, pairs, seed):
-    """The draws of _rank_one_sum, all rows in one call, in one product."""
+    """The draws of _rank_one_sum, the jumps and the key from the trial
+    stream, all rows in one call from the key's sub-stream, in one product."""
     gen = RngStream(seed, n).generator()
     x = _draw_jumps(RHO, gen, n)
-    rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, gen).reshape(n, -1, d)
+    rows = sample_sphere_vectors(d, (2 if pairs else 1) * n, sub_stream(sub_key(gen)))
+    rows = rows.reshape(n, -1, d)
     return (rows[:, 0].T * x) @ rows[:, -1].conj()
 
 
@@ -117,8 +120,9 @@ def test_blocked_rows_are_one_draw_bit_for_bit(monkeypatch, n, pairs):
 
     ref = RngStream(35, n).generator()
     _draw_jumps(RHO, ref, n)
-    one = sample_sphere_vectors(d, (2 if pairs else 1) * n, ref)
+    one = sample_sphere_vectors(d, (2 if pairs else 1) * n, sub_stream(sub_key(ref)))
     assert np.concatenate(drawn).tobytes() == one.tobytes()
+    # the trial stream gave the jumps and the key, and nothing else
     assert gen.standard_normal(4).tobytes() == ref.standard_normal(4).tobytes()
 
 

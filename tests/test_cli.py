@@ -19,7 +19,7 @@ from bplab import cli
 from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_experiment, run
 from bplab.hermitian import BLOCK, sample_P_many
 from bplab.nonhermitian import sample_L_many, symmetrized_singular_law
-from bplab.rng import RngStream
+from bplab.rng import RngStream, sub_key, sub_stream
 from bplab.spectra import (MAX_ENTRIES, MAX_FLOPS, MAX_KMAX, GridSpec, dirac_law,
                            empirical_moments, esd, psi_image_moments)
 from bplab.levy import MAX_CAUCHY_NODES, triple_from_spec
@@ -477,6 +477,15 @@ def test_cli_run_nonhermitian_mirrors_each_jump(atoms, status, tmp_path, capsys)
     assert "config error: triple:" in err if status else err == ""
 
 
+def test_cli_run_nonhermitian_takes_a_large_cauchy_preset(tmp_path, capsys):
+    # its nodes mirror exactly; they had missed by 1.1e-9, and the run exited 2
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"model": "nonhermitian", "dims": [4], "trials_per_dim": 1,
+                                "triple": {"preset": "cauchy", "a": 3, "nodes": 100000}}))
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_cli_run_writes_reports(tmp_path, capsys):
     cfg = tmp_path / "config.json"
     cfg.write_text(json.dumps(config()))
@@ -764,12 +773,15 @@ def test_benchmark_workloads_fit_the_budget():
 # recorded (numpy 2.4.6, scipy-openblas 0.3.31, x86-64) when the projection
 # sums drew all their rows in one call and multiplied them out in one product;
 # the core's hash was recorded again when its rows came to be drawn in their
-# own basis: the same law of the moments, from other variates
+# own basis: the same law of the moments, from other variates.  Both were
+# recorded again (from 26f7828f... and d0d37419...) when each row's norm came
+# from an einsum, which moved the core's last bits, and the one block's rows
+# from the keyed SFC64 sub-stream (rng.sub_stream)
 PROJECT_STDOUT = [
     (["--dim", "50", "--count", "25", "--trials", "3"],  # count < d: the core
-     "26f7828f0cecdeccb38c8c568b72defcb1cb348fa462fcbb7b60b79dcd90b2c3"),
+     "96006023db1d53abd01486534f9a168dfba1972f3c53b02f5946697026925148"),
     (["--dim", "100", "--count", "200", "--trials", "2"],  # d <= count <= BLOCK
-     "d0d37419064e5d9c77f77f6203d4f9c71a370c73dc7bb9777783990a867637a3"),
+     "b7446348b315459a2528dfcd9804411828c4b3549be72f5561d81763672df361"),
 ]
 
 
@@ -797,15 +809,18 @@ def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, 
 # was recorded when the tail was added into the block (r + r^*) / 2 BLOCK
 # rows at a time, and again (from 6fa0a446...) at one BLAS thread
 # (tests/conftest.py): it had been recorded at two, whose zgemm sums the
-# products in another order.
+# products in another order.  All three were recorded again (from
+# 9ed31013..., 0b5b7269... and 31f826ad...) when each row's norm came from an
+# einsum, which alone moved the low-rank P rows, and the summed tails' rows
+# from the keyed SFC64 sub-stream (rng.sub_stream).
 RUN_ROWS = [
     ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]), [20, 40],
-     "9ed3101363e9f25c9be72a28afd1e199ceb2ac20997f7b8e2a3fbabdc1e89937"),
+     "f09d45fbff2cf3286375b9f739c42eb301f32487651e3bc00103f161fe8596f1"),
     ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]},
      ("semicircle", [0.0, 1.0]), [20, 40],
-     "0b5b7269df7880378600a7caa9d9984276362303d851fec2acb2e8f5352e3d6b"),
+     "5faea5ceb61ce33688189c3fbbae392ca4d384329a7edfbdf538c59462a866d2"),
     ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}, ("semicircle", [0.25, 1.0]),
-     [20, 300], "31f826adc0bd89e20f943d848cf9e680db42deccbab775301b5cbce97467c87f"),
+     [20, 300], "c89fb205d84651d94e04e7b6085e57e3a3a5a973cb0c64b3ffda91c35ee77ed2"),
 ]
 
 
@@ -830,7 +845,8 @@ def test_blocked_project_moments_agree_with_the_one_product(capsys):
     got = np.array([by_name[f"m{k}"] for k in range(1, 5)])
     per_trial = []
     for trial in range(trials):
-        u = sample_sphere_vectors(d, count, RngStream(0, trial).generator())
+        rows = sub_stream(sub_key(RngStream(0, trial).generator()))
+        u = sample_sphere_vectors(d, count, rows)
         r = u.T @ u.conj()
         eigs = np.linalg.eigvalsh((r + r.conj().T) / 2.0)
         per_trial.append([np.mean(eigs**k) for k in range(1, 5)])

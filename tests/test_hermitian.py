@@ -42,20 +42,25 @@ GAUSSIAN_BYTES = {
 # (one product) and about 2 d at w = 1 (the blocked sum).  The w = 1 hashes,
 # and the two below, were recorded again (from fe45af02..., 41de8eba...,
 # f1fdd139... and 6aaae691...) at one BLAS thread (tests/conftest.py): they
-# had been recorded at two, whose zgemm sums the products in another order
+# had been recorded at two, whose zgemm sums the products in another order.
+# All six were recorded again (the w = 0.25 ones from 7dc573d0..., cfffefd5...,
+# 9bf1d03c... and 0be097c6...; the w = 1 ones from 996424de... and
+# ad5cf8cb...) when the summed tail's rows came from the keyed SFC64
+# sub-stream (rng.sub_stream) and each row's norm from an einsum
 BLOCK_P_BYTES = {
-    (0.25, 255): "7dc573d0b9b4297944d5b3d2d238ffba1414ce9713a67049b5c74347065a187a",
-    (0.25, 256): "cfffefd51bb935976a74faba697b6c4caa3bfa790883402e82e08d6a9f82224c",
-    (0.25, 257): "9bf1d03c93d00d6883bbe64a7c8e0d541b73f69898895e9a96f1625194fc8eba",
-    (0.25, 600): "0be097c6a4c36905de40c794cddf3e239dc1b658b31eb0e46fadc916a8cbea6b",
-    (1.0, 257): "996424dea194ac2ebc20638b124f8b09824a44661c62af1241fb3840e17041f0",
-    (1.0, 600): "ad5cf8cb6d515003d1eb88232e1e06ec71f111c5d083928481de0ef8dff65363",
+    (0.25, 255): "aa4e6d82864b855a0d01afa40fe30fa9501b8b8b012d2121ddf45ba53fd33a5a",
+    (0.25, 256): "177adaf756b57b21169b918293fadb34d6865aa76f03f3bd398b4543a737b14e",
+    (0.25, 257): "d3a5775263542aebdec3c872ef2f194dfc2a2830150a803b00bb13f2ebe7a4f7",
+    (0.25, 600): "a54b4bae710be059beaa1f7e11a22b74bba1e9e5a8a08eee8f88a1560c06cc37",
+    (1.0, 257): "89d6468dcc038cbac7b26d101ace7f513e1456588833570d5c783fe7a1524cbd",
+    (1.0, 600): "a1adf4197bdab1f862b4d7876af6bbc007a2ae53f4324ae455de6bf7f0cca301",
 }
 # the same for the kept d x d sum of poisson(2) at d = 257, RngStream(11, 0)
 # (no block, about 2 d terms), recorded when it was symmetrized into a new
-# array; and for sample_Q(linspace(-1, 2, 300), RngStream(12, 0)), recorded
-# when its product was symmetrized out of place
-KEPT_SUM_P_BYTES = "08f5b65c7adeed751ab0c36aaa42be49f56e3c319ebd45237128a56c67a33100"
+# array, and again (from 08f5b65c...) with the block pins; and for
+# sample_Q(linspace(-1, 2, 300), RngStream(12, 0)), recorded when its product
+# was symmetrized out of place
+KEPT_SUM_P_BYTES = "7507d3a0e6a871f38ee70d23ec1ea24d81f9b79429919e1c32c7b6d4163d6be8"
 SAMPLE_Q_BYTES = "821956dfa37ccbe91afd97f976b16be0282fff8adb3e8ded67c871a04bbc11ff"
 
 

@@ -395,6 +395,16 @@ def test_is_symmetric():
     assert is_symmetric(cauchy(1.0))
 
 
+@pytest.mark.parametrize("a, n_nodes", [(3.0, 10**5), (1.0, 10**6)])
+def test_large_cauchy_measures_are_exactly_symmetric(a, n_nodes):
+    # the negative nodes are the positive ones negated: linspace's own halves
+    # missed their mirrors by 1.1e-9 at (3, 10**5), beyond the 1e-9 tolerance
+    t = cauchy(a, n_nodes)
+    u, w = t.G.locations(), t.G.weights()
+    assert is_symmetric(t, tol=0.0)
+    assert np.array_equal(u, -u[::-1]) and np.array_equal(w, w[::-1])
+
+
 @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1e-9])
 def test_is_symmetric_refuses_a_tolerance_that_is_not_finite_and_nonnegative(tol):
     # NaN compares false with everything: it answered True for gaussian and

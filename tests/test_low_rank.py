@@ -17,7 +17,7 @@ from bplab.hermitian import (HermitianSample, _decompose, _draw_jumps, _haar_col
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
 from bplab.nonhermitian import (ComplexMatrixSample, _ginibre_block, sample_L_many,
                                 singular_values)
-from bplab.rng import RngStream, standard_complex_normal
+from bplab.rng import RngStream, standard_complex_normal, sub_key, sub_stream
 from bplab.spectra import esd
 from bplab.sphere import sample_sphere_vectors
 
@@ -33,28 +33,33 @@ def _symmetric(gauss, w):
 # SHA-256 of the entries' bytes, recorded (numpy 2.4.6, scipy-openblas 0.3.31,
 # x86-64) with the samplers that multiplied the rank-one sum out as they drew it.
 # P_BYTES (n < d terms) were recorded again when such tails came to be drawn
-# in their own basis, their entries placed in C^d by keyed Haar columns.
+# in their own basis, their entries placed in C^d by keyed Haar columns.  All
+# were recorded again (P from f3311303..., 8eb049d0..., 9fbf02a1... and
+# 5117715f...; L from d03fecc7..., 20da33fc..., 62cb4436... and fb141719...)
+# when the Haar columns and the rows of a summed tail came from the keyed
+# SFC64 sub-stream (rng.sub_stream) and each row's norm from an einsum.
 P_BYTES = {
-    0: "f3311303e997858c54cbca8c61c351a27000812310f807d61dd7a3c265335584",
-    1: "8eb049d0affb4bca4488426afe2a49ea7ad0dbe4af32ee494d233f0dc29f9699",
-    2: "9fbf02a1adb1470e384b9ae40cb482510185512f29fcf24a7659405594d50ae3",
-    3: "5117715f228c660ba1ccaef812db51fbc97ada9cf6751910a10eaa7097417cc5",
+    0: "4bd37c1e3291d9e60273b0d29e5602e233b6c634b38bee0ac7f5d91b9a73db29",
+    1: "81e775c34c9ccac88b0aec39fe43b5e280d47d6fb88e68b19e874277dcb31c4b",
+    2: "dc1e9284bdd8e0fa5a383ccd315ce6024b005e0ed2199fa40367472627cce91b",
+    3: "301c09d0e31bcab4cd282be6ab2c8d60c78e33dc14dc73de3d4e485589fd4426",
 }
 L_BYTES = {
-    0: "d03fecc7fcd7e75bf0f44ec40d9453308287170566e4c1cbc1cc9a405f5669d2",
-    1: "20da33fc4acd1790b21358a6f4aa8d5eb8b76746b85cbc260106fb05a97cdd74",
-    2: "62cb44361cbb8d8a4a01218a8092742fc675a46db560c9afde18644c4f6a7f1c",
-    3: "fb1417195441cf68d3b7e20470a4351374d89266b3e5366662f05d725dbe10a2",
+    0: "4d04ba6c3d9bd362b017bec58d7e529111794b29636d9d36f4e114be8114c3a4",
+    1: "adb464d7ee89c47fd2b9b96f40d97aac5528eacca87efa1b3390522a866ff25d",
+    2: "a9e7807af5a0affd5d90ba7f823f976dbc3ecb753f37da70a1520bedffec6c1f",
+    3: "fe6915e96740a8f8f41cad0b694f9dc82293326a123947a3e09f5e9863aaf13b",
 }
 # ... and of the stdout of `bplab sample <spec> --dim 12 --seed 3 --model <model>`,
-# the first (n < d terms) recorded again as P_BYTES were
+# the first (n < d terms) recorded again as P_BYTES were, and all three (from
+# bb7059d9..., 1514ff4d... and ae5b0a2e...) with the sub-stream
 CLI_BYTES = [
     ({"preset": "poisson", "lambda": 0.5}, "hermitian",
-     "bb7059d932f3e27be85ef867d99867d97add1a3e2edcc3e44d88b1e4881ef426"),
+     "fd632fa075661283d94145f5094b92715299ff3eec5996ae8f8094ffa5fde846"),
     (MIXED_SPEC, "hermitian",
-     "1514ff4d0afc9f7a1532e8ec70985092da64bbf486d7db6857c91dc5ddd1e76d"),
+     "ee14ae71cd7857a0e9ef618efb6d460e6e9b645764e6804bfc674e615e54292d"),
     (MIXED_SPEC, "nonhermitian",
-     "ae5b0a2eebcf5ab9d87041818a7c92b31f098bd51bcd544ba3bb3e0e3f6f1860"),
+     "67e17d767a9d021f84cdc3c9922677ac3bad569adb6dc22487677593a1e99794"),
 ]
 
 
@@ -65,9 +70,10 @@ def _sha(data: bytes) -> str:
 def _multiplied_out(triple, model, d, rng):
     """A pure compound-Poisson sample (n > 0) multiplied out from the
     sampler's draws: shift * I (zeros for L) plus the rank-one sum,
-    symmetrized for P.  n >= d standard rows are multiplied out in one
-    product; n < d rows, drawn in their own basis, are placed in C^d by the
-    Haar columns of the key drawn after them."""
+    symmetrized for P.  n >= d standard rows, drawn from the sub-stream of
+    the key drawn after the jumps, are multiplied out in one product; n < d
+    rows, drawn in their own basis, are placed in C^d by the Haar columns of
+    the key drawn after them."""
     dec = _decompose(triple, None)
     gen = rng.generator()
     n = int(gen.poisson(d * dec.tail.lam))
@@ -76,12 +82,12 @@ def _multiplied_out(triple, model, d, rng):
     if n < d:
         u = sample_sphere_vectors(d, n, gen, own_basis=True)
         w = u if k == 1 else sample_sphere_vectors(d, n, gen, own_basis=True)
-        frames = np.random.Generator(np.random.Philox(key=int(gen.integers(2**63))))
+        frames = sub_stream(sub_key(gen))
         v_u = _haar_columns(d, n, frames)
         v_w = v_u if k == 1 else _haar_columns(d, n, frames)
         r = (v_u @ ((u.T * x) @ w.conj())) @ v_w.conj().T
     else:
-        rows = sample_sphere_vectors(d, k * n, gen).reshape(n, k, d)
+        rows = sample_sphere_vectors(d, k * n, sub_stream(sub_key(gen))).reshape(n, k, d)
         r = (rows[:, 0].T * x) @ rows[:, -1].conj()
     if model == "hermitian":
         return dec.mean * np.eye(d, dtype=complex) + (r + r.conj().T) / 2.0
@@ -110,7 +116,8 @@ def test_sampled_entries_keep_their_bytes(model, t):
     assert _sha(got) == recorded
 
 
-@pytest.mark.parametrize("spec, model, recorded", CLI_BYTES)
+@pytest.mark.parametrize("spec, model, recorded", CLI_BYTES,
+                         ids=["poisson-hermitian", "mixed-hermitian", "mixed-nonhermitian"])
 def test_cli_sample_keeps_its_bytes(spec, model, recorded, capsys):
     assert main(["sample", json.dumps(spec), "--dim", "12", "--seed", "3",
                  "--model", model]) == 0
@@ -305,7 +312,8 @@ def test_own_basis_core_spectra_are_those_of_their_entries():
 @pytest.mark.parametrize("model", ["hermitian", "nonhermitian"])
 def test_a_block_and_fewer_than_d_terms_keep_their_entries_bytes(model):
     # Gaussian mass 0.5 and n ~ Poisson(25) < d = 50 terms: the block, then
-    # the tail's standard rows in one product (at most BLOCK of them), summed
+    # the tail's standard rows, from the sub-stream of the key drawn after the
+    # jumps, in one product (at most BLOCK of them), summed
     triple, d = _symmetric(0.5, 0.125), 50
     hermitian = model == "hermitian"
     dec = _decompose(triple, None)
@@ -315,7 +323,8 @@ def test_a_block_and_fewer_than_d_terms_keep_their_entries_bytes(model):
         block = (sample_P_gaussian if hermitian else _ginibre_block)(dec.mean, dec.var, d, gen)
         n = int(gen.poisson(d * dec.tail.lam))
         x = _draw_jumps(dec.tail.rho, gen, n)
-        rows = sample_sphere_vectors(d, (1 if hermitian else 2) * n, gen).reshape(n, -1, d)
+        rows = sample_sphere_vectors(d, (1 if hermitian else 2) * n, sub_stream(sub_key(gen)))
+        rows = rows.reshape(n, -1, d)
         r = (rows[:, 0].T * x) @ rows[:, -1].conj()
         want = (r + r.conj().T) / 2.0 + block.entries if hermitian else r + block.entries
         assert 0 < n < d and not got.low_rank

@@ -12,7 +12,7 @@ from bplab.nonhermitian import (
     singular_values,
     symmetrized_singular_law,
 )
-from bplab.rng import RngStream
+from bplab.rng import RngStream, sub_key, sub_stream
 from bplab.spectra import empirical_moments
 from bplab.sphere import sample_sphere_vectors
 
@@ -57,14 +57,15 @@ def test_compound_poisson_zero_intensity():
 
 
 def test_rank_one_rows_are_drawn_per_jump():
-    # v_k is the sphere row drawn right after u_k, so the variates of jump k
-    # do not depend on how many jumps follow it
+    # v_k is the sphere row drawn right after u_k, from the sub-stream of the
+    # key drawn after the jumps, so the variates of jump k do not depend on
+    # how many jumps follow it
     rho = FiniteMeasure(((-1.0, 0.5), (1.0, 0.5)))
     m = sample_L_compound_poisson(rho, 1.5, 4, RngStream(9, 0)).entries
     gen = RngStream(9, 0).generator()
     n = int(gen.poisson(4 * 1.5))
     x = gen.choice([-1.0, 1.0], size=n, p=[0.5, 0.5])
-    rows = sample_sphere_vectors(4, 2 * n, gen)
+    rows = sample_sphere_vectors(4, 2 * n, sub_stream(sub_key(gen)))
     expected = sum(x[k] * np.outer(rows[2 * k], rows[2 * k + 1].conj()) for k in range(n))
     assert n > 1 and np.allclose(m, expected, rtol=0.0, atol=1e-12)
 

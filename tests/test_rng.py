@@ -1,5 +1,6 @@
-"""The variate stream: a pinned hash of a short draw, the same bits with numpy's
-AVX-512 kernels switched off, and a draw layout that chunking cannot change."""
+"""The variate streams: pinned hashes of a short draw from a trial stream and
+from a keyed sub-stream, the same bits with numpy's AVX-512 kernels switched
+off, and a draw layout that chunking cannot change."""
 
 import hashlib
 import json
@@ -11,20 +12,23 @@ import numpy as np
 import pytest
 
 import bplab
-from bplab.rng import RngStream, standard_complex_normal, standard_normal
+from bplab.rng import RngStream, standard_complex_normal, standard_normal, sub_key, sub_stream
 from bplab.sphere import sample_sphere_vectors
 
 # sha256 of 1000 standard_normal then 1000 standard_complex_normal values drawn
 # from RngStream(7, 0), as little-endian bytes.  numpy does not promise
 # Generator streams across versions (NEP 19): a new numpy may change this.
 GOLDEN_SHA256 = "70a48bd0eecac52f5d4dc2e1ba08f556de1f2239fa635344bc58f5d270d6cc1d"
+# sha256 of the first key drawn from RngStream(7, 0), as a little-endian
+# uint64, then 1000 standard_complex_normal values from its sub-stream
+SUB_STREAM_SHA256 = "0ccc4d71090cb3ea49afabb9cca28fa70693d8ead53758fe272bd2efb43b9c8a"
 
 # numpy's runtime-dispatch names for the AVX-512 levels of x86-64.
 AVX512_FEATURES = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
 
 _DRAW = """
 import hashlib, json
-from bplab.rng import RngStream, standard_complex_normal, standard_normal
+from bplab.rng import RngStream, standard_complex_normal, standard_normal, sub_key, sub_stream
 try:
     from numpy._core._multiarray_umath import __cpu_features__
 except ImportError:  # numpy < 2
@@ -32,14 +36,17 @@ except ImportError:  # numpy < 2
 gen = RngStream(7, 0).generator()
 real = standard_normal(gen, 1000).astype("<f8")
 cplx = standard_complex_normal(gen, 1000).astype("<c16")
+key = sub_key(RngStream(7, 0).generator())
+sub = standard_complex_normal(sub_stream(key), 1000).astype("<c16")
+sub = key.to_bytes(8, "little") + sub.tobytes()
 print(json.dumps({"sha256": hashlib.sha256(real.tobytes() + cplx.tobytes()).hexdigest(),
-                  "features": __cpu_features__}))
+                  "sub_sha256": hashlib.sha256(sub).hexdigest(), "features": __cpu_features__}))
 """
 
 
 def _draw(disabled: str = "") -> dict:
-    """Run the short draw in a fresh interpreter with the given numpy CPU
-    features disabled; returns its hash and the features it ran with."""
+    """Run the short draws in a fresh interpreter with the given numpy CPU
+    features disabled; returns their hashes and the features it ran with."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(bplab.__file__)))
     env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
@@ -55,6 +62,13 @@ def test_short_draw_matches_golden_hash():
     assert hashlib.sha256(real.tobytes() + cplx.tobytes()).hexdigest() == GOLDEN_SHA256
 
 
+def test_short_sub_stream_draw_matches_its_hash():
+    key = sub_key(RngStream(7, 0).generator())
+    sub = standard_complex_normal(sub_stream(key), 1000).astype("<c16")
+    got = hashlib.sha256(key.to_bytes(8, "little") + sub.tobytes()).hexdigest()
+    assert got == SUB_STREAM_SHA256
+
+
 def test_draws_are_identical_without_avx512():
     host = _draw()
     active = [f for f in AVX512_FEATURES if host["features"].get(f)]
@@ -63,6 +77,7 @@ def test_draws_are_identical_without_avx512():
     off = _draw(" ".join(AVX512_FEATURES))
     assert not any(off["features"].get(f) for f in active)
     assert off["sha256"] == host["sha256"] == GOLDEN_SHA256
+    assert off["sub_sha256"] == host["sub_sha256"] == SUB_STREAM_SHA256
 
 
 @pytest.mark.parametrize(
