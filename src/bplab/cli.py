@@ -292,7 +292,8 @@ def _mean_rows(d: int, per_trial, stats=None) -> list[dict]:
 def _trial_law(config: ExperimentConfig, d: int, trial: int):
     rng = RngStream(config.seed, trial)
     # one sample_*_many call per trial, by this module's names: perfbench/tracing.py
-    # times it as the per-trial sample, so the decomposition is not hoisted out.
+    # times it as the per-trial sample.  The triple's split at the cut was made
+    # by from_dict's budget check and is kept on the triple (hermitian._decompose).
     if config.model == "hermitian":
         sample = sample_P_many(config.triple, d, rng, 1, config.inner_cut)[0]
         return esd(sample)

@@ -90,10 +90,15 @@ def _walk(kind: str, values: tuple[float, ...], inverse: bool) -> tuple[float, .
     for n in range(1, k + 1):
         if kind == "free":  # m_{n-1} is known: the column t = n - 1 of h
             for s in range(2, k - n + 2):
-                h[s].append(sum(a * b for a, b in zip(h[s - 1], reversed(m))))
+                acc = 0.0
+                for a, b in zip(h[s - 1], reversed(m)):
+                    acc += a * b
+                h[s].append(acc)
         c.append(0.0 if inverse else values[n - 1])
         if kind == "classical":
-            total = sum(math.comb(n - 1, j - 1) * c[j - 1] * m[n - j] for j in range(1, n + 1))
+            total = 0.0
+            for j in range(1, n + 1):
+                total += math.comb(n - 1, j - 1) * c[j - 1] * m[n - j]
         else:
             total = c[0] * m[n - 1]
             for s in range(2, n + 1):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -130,6 +131,13 @@ class LevyTriple:
     def __post_init__(self):
         if not math.isfinite(self.gamma):
             raise ValueError("gamma must be finite")
+
+    @cached_property
+    def _decompositions(self) -> dict:
+        """hermitian._decompose's splits of this triple, by cut: a triple is
+        immutable, so each cut is split once however many samples, trials
+        or runs use it.  Not a field, so not compared or printed."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,8 @@ def sample_sphere_vectors(
     # scaled on the (re, im) view (rng.standard_complex_normal); each row's
     # norm is its own reduction, so any chunking gives the same bits
     parts = z.view(float)
-    step = max(1, NORM_ENTRIES // d)
+    # a row holds z.shape[1] entries: d, or min(n, d) in its own basis
+    step = max(1, NORM_ENTRIES // max(1, z.shape[1]))
     for i in range(0, n, step):
         rows = parts[i : i + step]
         rows *= 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import bplab
-from bplab import cli
+from bplab import cli, hermitian
 from bplab.cli import ConfigError, ExperimentConfig, Report, main, projection_experiment, run
 from bplab.hermitian import BLOCK, sample_P_many
 from bplab.nonhermitian import sample_L_many, symmetrized_singular_law
@@ -313,6 +313,32 @@ def test_run_rows_are_the_samplers_spectra(model, spec):
         per_trial.append(empirical_moments(law, 4).values)
     want = np.mean(per_trial, axis=0)
     assert [r["mean"] for r in report.rows] == [float(m) for m in want]
+
+
+@pytest.mark.parametrize("model, spec", [
+    ("hermitian", {"preset": "poisson", "lambda": 0.5}),
+    ("nonhermitian", {"gamma": 0, "atoms": [[1, 0.25], [-1, 0.25], [0, 0.5]]}),
+])
+def test_a_config_and_its_runs_split_the_triple_once(monkeypatch, model, spec):
+    # the budget check splits it; the trials and a second run reuse that split
+    monkeypatch.setenv("BPLAB_THREADS", "1")
+    calls = []
+    real = hermitian.truncate
+    monkeypatch.setattr(hermitian, "truncate", lambda *a: calls.append(a) or real(*a))
+    cfg = ExperimentConfig.from_dict(
+        {"model": model, "triple": spec, "dims": [4, 6], "trials_per_dim": 3, "seed": 2})
+    first = run(cfg).to_json()
+    assert run(cfg).to_json() == first and len(calls) == 1
+
+
+@pytest.mark.parametrize("model", ["hermitian", "nonhermitian"])
+def test_cli_sample_splits_the_triple_once(monkeypatch, capsys, model):
+    calls = []
+    real = hermitian.truncate
+    monkeypatch.setattr(hermitian, "truncate", lambda *a: calls.append(a) or real(*a))
+    spec = '{"gamma":0,"atoms":[[1,0.25],[-1,0.25]]}'
+    assert main(["sample", spec, "--dim", "6", "--model", model]) == 0
+    assert capsys.readouterr().out and len(calls) == 1
 
 
 def test_histogram_and_distance_outputs():

@@ -93,6 +93,45 @@ def test_inverse_round_trip(kind):
     assert np.allclose(again.values, m.values, rtol=1e-10, atol=1e-10)
 
 
+def _left_to_right(terms):
+    """0.0 + terms[0] + terms[1] + ..., each addition rounded in turn."""
+    total = 0.0
+    for term in terms:
+        total += term
+    return total
+
+
+def _moments_summed_by(add, kind, c):
+    """The moments of the cumulants c by the recursion of the walk, each
+    inner sum taken by add: m_n = sum_j C(n-1, j-1) c_j m_{n-j} (classical),
+    or m_n = c_1 m_{n-1} + c_2 h_2[n-2] + ... (free, from its first term)
+    with h_s[t] = sum_i h_{s-1}[i] m_{t-i} and h_1 = m."""
+    m = [1.0]
+    for n in range(1, len(c) + 1):
+        if kind == "classical":
+            m.append(add([math.comb(n - 1, j - 1) * c[j - 1] * m[n - j] for j in range(1, n + 1)]))
+            continue
+        h = {1: m[:]}
+        for s in range(2, n + 1):
+            h[s] = [add([h[s - 1][i] * m[t - i] for i in range(t + 1)]) for t in range(n - s + 1)]
+        total = c[0] * h[1][n - 1]
+        for s in range(2, n + 1):
+            total += c[s - 1] * h[s][n - s]
+        m.append(total)
+    return tuple(m[1:])
+
+
+@pytest.mark.parametrize("kind", ("classical", "free"))
+def test_walk_adds_left_to_right(kind):
+    # CPython 3.12 made sum() of floats compensated; the walk rounds each
+    # addition in turn, so its bits are those of CPython <= 3.11 on any version
+    c = (0.3, 0.625, 0.125, 0.25, 0.0625, 0.03125, 0.1, 0.7, -0.2, 0.9)
+    want = _moments_summed_by(_left_to_right, kind, c)
+    assert moments_from_cumulants(CumulantSequence(kind, c)).values == want
+    # on this sequence a compensated sum gives other bits
+    assert _moments_summed_by(math.fsum, kind, c) != want
+
+
 def test_bp_transport_is_cumulant_identity():
     c = CumulantSequence("classical", (0.5, 1.5, -0.2))
     f = bp_transport(c)

@@ -229,6 +229,46 @@ def test_small_jump_substitution_matches_first_two_cumulants():
     assert dec.tail.lam == 0.0
 
 
+def test_a_triple_is_split_once_per_cut():
+    t = convolve(gaussian(0.3, 0.5), poisson(0.8))
+    dec = _decompose(t, None)
+    assert _decompose(t, None) is dec and _decompose(t, 0.25) is not dec
+    # an equal triple built anew is split anew, to the same numbers
+    again = _decompose(convolve(gaussian(0.3, 0.5), poisson(0.8)), None)
+    assert again is not dec and (again.mean, again.var, again.cut) == (dec.mean, dec.var, dec.cut)
+
+
+def test_threads_splitting_one_triple_agree():
+    # a split is stored with no lock: threads that race store equal splits
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    t = convolve(gaussian(0.3, 0.5), poisson(0.8))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(_decompose, t, cut) for cut in (None, 0.25) * 32]
+            splits = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for cut, dec in zip((None, 0.25) * 32, splits):
+        want = _decompose(t, cut)
+        assert (dec.mean, dec.var, dec.cut, dec.tail.lam) == (want.mean, want.var, want.cut,
+                                                              want.tail.lam)
+
+
+@pytest.mark.parametrize("atoms, cut", [
+    (((0.1, 1e308), (0.2, 1e308)), 1.0),  # the small-jump substitution
+    (((1e-11, 1e300),), 5e-12),  # the tail intensity
+], ids=["substitution", "intensity"])
+def test_a_split_that_overflows_raises_on_every_call(atoms, cut):
+    t = LevyTriple(0.0, FiniteMeasure(atoms))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="overflow"):
+            _decompose(t, cut)
+
+
 def test_sampler_validation():
     with pytest.raises(ValueError):
         sample_P_gaussian(0.0, -1.0, 3, RngStream(0, 0))

@@ -12,8 +12,9 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bplab.cli import main
-from bplab.hermitian import (HermitianSample, _decompose, _draw_jumps, _haar_columns,
-                             _rank_one_terms, sample_P_gaussian, sample_P_many)
+from bplab.hermitian import (CORE_ROWS, HermitianSample, _decompose, _draw_jumps,
+                             _haar_columns, _lower_core, _rank_one_terms, sample_P_gaussian,
+                             sample_P_many)
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
 from bplab.nonhermitian import (ComplexMatrixSample, _ginibre_block, sample_L_many,
                                 singular_values)
@@ -199,6 +200,23 @@ def test_the_core_agrees_with_the_dense_path(shape, signs, pairs, seed):
         got, want = np.sort(sample.eigenvalues()), np.linalg.eigvalsh(sample.entries)
     assert sample.low_rank and got.size == d
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [1, CORE_ROWS - 1, CORE_ROWS, CORE_ROWS + 1, 2 * CORE_ROWS - 1,
+                               2 * CORE_ROWS, 2 * CORE_ROWS + 1, 200])
+def test_the_lower_core_is_the_full_products_lower_triangle(n):
+    # core rows i.. need the triangular factor's rows k >= i only
+    gen = RngStream(29, n).generator()
+    x = gen.uniform(0.1, 3.0, n) * gen.choice([-1.0, 1.0], n)
+    u = sample_sphere_vectors(2 * n + 1, n, gen, own_basis=True)
+    assert np.array_equal(u, np.tril(u))
+    want = np.tril((u.T * x) @ u.conj())
+    got = _lower_core(x, u)
+    assert np.max(np.abs(np.tril(got) - want)) <= 1e-13 * np.max(np.abs(want))
+    sample = HermitianSample(dim=2 * n + 1, tail=(x, u, u, 0))
+    full = np.linalg.eigvalsh((u.T * x) @ u.conj())
+    eigs = sample.eigenvalues()[:n]
+    assert np.max(np.abs(eigs - full)) <= 1e-12 * np.max(np.abs(full))
 
 
 @pytest.mark.parametrize("d", [2, 50, 400])
