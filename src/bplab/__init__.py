@@ -62,7 +62,6 @@ from .spectra import (
     empirical_moments,
     cauchy_transform,
     cauchy_sup_distance,
-    reference_moments,
     psi_image_moments,
     histogram,
     semicircle,

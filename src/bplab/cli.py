@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, spectra
 from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, _json_float, _json_int, is_symmetric, triple_from_spec
+from .levy import LevyTriple, _json_float, _json_int, is_symmetric, poisson, triple_from_spec
 from .rng import SEED_LIMIT, RngStream
 from .spectra import (
     MAX_ENTRIES,
@@ -37,8 +37,6 @@ from .spectra import (
     empirical_moments,
     cauchy_sup_distance,
     psi_image_moments,
-    reference_moments,
-    marchenko_pastur,
 )
 
 __all__ = ["ExperimentConfig", "Report", "run", "projection_experiment", "main"]
@@ -390,7 +388,8 @@ def projection_experiment(d: int, d_prime: int, trials: int, seed: int) -> Repor
         tail = _rank_one_terms(np.ones(d_prime), d, gen)
         law = esd(HermitianSample(dim=d, tail=tail))
         per_trial.append(empirical_moments(law, kmax).values)
-    ref = reference_moments(marchenko_pastur(lam), kmax)
+    # the free image of Poisson(lam): Marchenko-Pastur(d_prime / d)
+    ref = psi_image_moments(poisson(lam), kmax)
     rows = [r for k, row in enumerate(_mean_rows(d, per_trial), 1)
             for r in (row, _row(d, trials, f"m{k}_reference", ref[k], 0.0))]
     config = {"experiment": "projection", "d": d, "d_prime": d_prime, "trials": trials}
@@ -522,7 +521,6 @@ def _command(args) -> int:
                   file=sys.stderr)
             return 1
         return pytest.main(["-v", tests])
-    return 2
 
 
 if __name__ == "__main__":

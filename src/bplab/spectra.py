@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cumulants import CumulantSequence, MomentSequence, bp_transport, moments_from_cumulants
+from .cumulants import MomentSequence, bp_transport, moments_from_cumulants
 # the class itself: perfbench/tracing.py replaces hermitian's name with a counting function
 from .hermitian import HermitianSample
 from .levy import LevyTriple, cumulants_from_triple
@@ -29,7 +29,6 @@ __all__ = [
     "empirical_moments",
     "cauchy_transform",
     "cauchy_sup_distance",
-    "reference_moments",
     "psi_image_moments",
     "histogram",
 ]
@@ -231,26 +230,6 @@ def cauchy_sup_distance(nu1, nu2, grid: GridSpec | None = None) -> float:
         grid = GridSpec()
     zs = grid.points()
     return float(np.max(np.abs(cauchy_transform(nu1, zs) - cauchy_transform(nu2, zs))))
-
-
-def reference_moments(law: ReferenceLaw, kmax: int) -> MomentSequence:
-    """Exact moments via free cumulants (semicircle: (0, r^2, 0, ...);
-    Marchenko-Pastur(lam): all cumulants lam; dirac: (a, 0, 0, ...))."""
-    if kmax < 1:
-        raise ValueError("kmax must be >= 1")
-    if law.kind == "cauchy":
-        raise ValueError("the Cauchy law has no moments")
-    if law.kind == "semicircle":
-        mean, r = law.params
-        c = [mean, r * r] + [0.0] * (kmax - 2)
-        return moments_from_cumulants(CumulantSequence("free", tuple(c[:kmax])))
-    if law.kind == "marchenko_pastur":
-        (lam,) = law.params
-        return moments_from_cumulants(CumulantSequence("free", (lam,) * kmax))
-    if law.kind == "dirac":
-        (a,) = law.params
-        return MomentSequence(tuple(a**k for k in range(1, kmax + 1)))
-    raise ValueError(f"unknown law {law!r}")
 
 
 def psi_image_moments(t: LevyTriple, kmax: int) -> MomentSequence:

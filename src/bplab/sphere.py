@@ -28,17 +28,12 @@ __all__ = [
 # jitter would corrupt oracle comparisons
 DEGENERACY_TOL = 1e-8
 
-# sample_sphere_vectors takes its row norms this many entries at a time (at
-# least one row), so the norm's temporaries stay small whatever the count
-NORM_ENTRIES = 2**14
-
 
 def sample_sphere_vectors(
     d: int, n: int, rng: RngStream | np.random.Generator, own_basis: bool = False
 ) -> np.ndarray:
     """n uniform sphere vectors as the rows of an (n, d) complex array: each
-    a standard complex Gaussian vector, renormalized about NORM_ENTRIES
-    entries at a time.
+    a standard complex Gaussian vector, renormalized in one pass.
 
     With own_basis, the rows come in their own basis, the orthonormal one
     that Gram-Schmidt builds from them in order: an (n, min(n, d)) lower
@@ -63,14 +58,10 @@ def sample_sphere_vectors(
         z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
     else:
         z = standard_complex_normal(gen, (n, d))
-    # scaled on the (re, im) view (rng.standard_complex_normal); each row's
-    # norm is its own reduction, so any chunking gives the same bits
+    # scaled on the (re, im) view (rng.standard_complex_normal); the einsum
+    # holds only the n norms, so no temporary grows with the array
     parts = z.view(float)
-    # a row holds z.shape[1] entries: d, or min(n, d) in its own basis
-    step = max(1, NORM_ENTRIES // max(1, z.shape[1]))
-    for i in range(0, n, step):
-        rows = parts[i : i + step]
-        rows *= 1.0 / np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+    parts *= 1.0 / np.sqrt(np.einsum("ij,ij->i", parts, parts))[:, None]
     return z
 
 

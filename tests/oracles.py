@@ -124,8 +124,12 @@ def is_symmetric_matching(t, tol=1e-9):
 
 
 def integrate_scan(g, f):
-    """Sum of weight * f(u) over the atoms of g, by a Python loop from 0."""
-    return sum(w * f(u) for u, w in g.atoms.tolist())
+    """Sum of weight * f(u) over the atoms of g, by a Python loop from 0,
+    adding left to right (sum() of floats is compensated from CPython 3.12)."""
+    total = 0.0
+    for u, w in g.atoms.tolist():
+        total += w * f(u)
+    return total
 
 
 def cumulants_scan(t, kmax):

@@ -137,6 +137,11 @@ def test_good_config_parses():
         # atoms are a list: an empty string or object is not one with no atoms
         ({"triple": {"gamma": 0, "atoms": ""}}, "triple"),
         ({"triple": {"gamma": 0, "atoms": {}}}, "triple"),
+        # a target names its law, and its params are a list
+        ({"outputs": {"cauchy_distance": {"target": {"params": [1.0]}}}},
+         "outputs.cauchy_distance.target"),
+        ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": 1.0}}}},
+         "outputs.cauchy_distance.target.params"),
     ],
 )
 def test_bad_configs_carry_field_paths(overrides, path):
@@ -540,6 +545,35 @@ def test_cli_run_bad_config_exit_codes(tmp_path, capsys):
     invalid = tmp_path / "invalid.json"
     invalid.write_text(json.dumps(config(model="other")))
     assert main(["run", str(invalid)]) == 2
+
+
+def test_cli_run_failure_exits_1(tmp_path, capsys, monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("no spectrum")
+
+    monkeypatch.setattr(cli, "run", fail)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config()))
+    assert main(["run", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: no spectrum\n" and captured.out == ""
+
+
+def test_cli_verify_runs_the_acceptance_suite(monkeypatch):
+    calls = []
+    monkeypatch.setattr(pytest, "main", lambda args: calls.append(args) or 0)
+    assert main(["verify"]) == 0
+    [(flag, suite)] = calls
+    assert flag == "-v" and Path(suite).parts[-2:] == ("tests", "test_acceptance.py")
+    assert os.path.exists(suite)
+
+
+def test_cli_verify_without_the_suite_exits_1(tmp_path, capsys, monkeypatch):
+    # an installed package: no tests/ three levels above cli.py
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "site" / "bplab" / "cli.py"))
+    monkeypatch.setattr(pytest, "main", lambda args: pytest.fail("pytest.main was called"))
+    assert main(["verify"]) == 1
+    assert "acceptance tests not found" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

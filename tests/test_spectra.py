@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from bplab.levy import convolve, gaussian, poisson
+from bplab.levy import convolve, dirac, gaussian, poisson
 from bplab.spectra import (
     EmpiricalDistribution,
     GridSpec,
@@ -21,7 +21,6 @@ from bplab.spectra import (
     histogram,
     marchenko_pastur,
     psi_image_moments,
-    reference_moments,
     semicircle,
 )
 from oracles import mp_atom, mp_transform_quad, reference_density
@@ -61,21 +60,19 @@ def test_empirical_moments_by_hand():
 
 
 def test_reference_moments_semicircle_catalan():
-    m = reference_moments(semicircle(0.0, 1.0), 8)
+    m = psi_image_moments(gaussian(0.0, 1.0), 8)
     assert np.allclose(m.values, (0, 1, 0, 2, 0, 5, 0, 14), atol=1e-12)
 
 
 def test_reference_moments_marchenko_pastur():
-    m = reference_moments(marchenko_pastur(0.5), 4)
+    m = psi_image_moments(poisson(0.5), 4)
     assert np.allclose(m.values, (0.5, 0.75, 1.375, 2.8125), atol=1e-12)
-    m1 = reference_moments(marchenko_pastur(2.0), 2)
+    m1 = psi_image_moments(poisson(2.0), 2)
     assert m1.values == (2.0, 6.0)
 
 
-def test_reference_moments_dirac_and_cauchy():
-    assert reference_moments(dirac_law(2.0), 3).values == (2.0, 4.0, 8.0)
-    with pytest.raises(ValueError):
-        reference_moments(cauchy_law(1.0), 2)
+def test_reference_moments_dirac():
+    assert psi_image_moments(dirac(2.0), 3).values == (2.0, 4.0, 8.0)
 
 
 @pytest.mark.parametrize(
@@ -99,7 +96,12 @@ def test_densities_are_probability_densities(law):
 
 @pytest.mark.parametrize("law", [semicircle(0.3, 1.2), marchenko_pastur(0.6)])
 def test_reference_moments_match_density_quadrature(law):
-    ref = reference_moments(law, 4)
+    # the free images of gaussian(mean, r^2) and poisson(lam)
+    if law.kind == "semicircle":
+        mean, r = law.params
+        ref = psi_image_moments(gaussian(mean, r * r), 4)
+    else:
+        ref = psi_image_moments(poisson(*law.params), 4)
     for k in range(1, 5):
         val, _ = integrate.quad(
             lambda x: x**k * reference_density(law, x), -10, 10, limit=400
@@ -174,7 +176,7 @@ def test_semicircle_transform_satisfies_quadratic():
 def test_marchenko_pastur_transform_matches_moment_series():
     # at high z the transform equals -1/z - m1/z^2 - m2/z^3 - ...
     law = marchenko_pastur(0.7)
-    m = reference_moments(law, 8)
+    m = psi_image_moments(poisson(0.7), 8)
     z = 8.0j
     series = -1.0 / z - sum(m[k] / z ** (k + 1) for k in range(1, 9))
     assert abs(cauchy_transform(law, z) - series) < 1e-5
@@ -283,9 +285,7 @@ def test_psi_image_moments_of_poisson_is_marchenko_pastur():
         psi_image_moments(poisson(1.0), 4).values, (1.0, 2.0, 5.0, 14.0), atol=1e-12
     )
     assert np.allclose(
-        psi_image_moments(poisson(0.5), 4).values,
-        reference_moments(marchenko_pastur(0.5), 4).values,
-        atol=1e-12,
+        psi_image_moments(poisson(0.5), 4).values, (0.5, 0.75, 1.375, 2.8125), atol=1e-12
     )
 
 

@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bplab.levy import convolve, dirac, gaussian, poisson
 from bplab.rng import RngStream, standard_complex_normal
 from bplab.sphere import (
-    NORM_ENTRIES,
     pd_fourier,
     sample_simplex_points,
     sample_sphere_vectors,
@@ -62,12 +63,25 @@ def _whole_array_rows(d, n, rng, own_basis):
 
 @pytest.mark.parametrize("own_basis", [False, True])
 @pytest.mark.parametrize("d", [200, 1500])
-def test_chunked_row_norms_keep_the_whole_array_bytes(d, own_basis):
-    c = max(1, NORM_ENTRIES // d)
+def test_row_norms_keep_the_whole_array_bytes(d, own_basis):
+    # counts around 2**14 // d, the rows per block of an earlier blocked form
+    c = {200: 81, 1500: 10}[d]
     for n in (1, c - 1, c, c + 1, 3 * c + 5):
         got = sample_sphere_vectors(d, n, RngStream(5, n), own_basis=own_basis)
         want = _whole_array_rows(d, n, RngStream(5, n), own_basis)
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_row_norms_peak_at_the_rows_plus_their_norms():
+    # the draw fills the returned array in place, and the norms add n floats
+    sample_sphere_vectors(3, 2, RngStream(6, 0))
+    tracemalloc.start()
+    try:
+        u = sample_sphere_vectors(1000, 4000, RngStream(6, 1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.nbytes + 2**20
 
 
 @pytest.mark.parametrize("d, n", [(3, 2), (6, 4), (12, 11)])
