@@ -104,7 +104,9 @@ class ExperimentConfig:
             if not 0 < cut < math.inf:
                 raise ConfigError("inner_cut", "must be a positive finite number")
         triple = _parse_triple(doc["triple"], model)
-        _check_sample_budget(model, triple, cut, dims, "dims", trials)
+        flops = _check_sample_budget(model, triple, cut, dims, "dims", trials)
+        if grid is not None:
+            _check_distance_budget(grid, dims, trials, flops)
         return cls(
             model=model,
             triple_spec=doc["triple"],
@@ -182,9 +184,16 @@ _BIN_ENTRIES = 27
 # d = 1, about 2**20 multiply-adds at the rate MAX_FLOPS assumes.
 _TRIAL_FLOPS = 2**20
 
+# The cost of one term of an empirical transform, one summed point at one
+# grid point, in the multiply-adds of MAX_FLOPS: the real kernel
+# (spectra._real_sums) took 1.8-3.0 ns a term on laws of 1,000 to 8,000
+# summed points on the default grid (5.0 ns at 100; one Xeon core), 8-13
+# multiply-adds at the rate MAX_FLOPS assumes.
+_TERM_FLOPS = 16
+
 
 def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str],
-                  what: str) -> None:
+                  what: str) -> float:
     """A trial at dim d has n = terms(d) rank-one terms of k sphere rows
     each (hermitian._rank_one_terms).  Memory, checked at the largest dim:
     the d x d matrix, the n jump values and the k d min(n, max(d, BLOCK))
@@ -199,7 +208,7 @@ def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str]
     k n d^2 for the rank-one products and _TRIAL_FLOPS besides; trials times
     that sum over MAX_FLOPS names fields[0] when one trial is over the
     budget without its terms, fields[1] (the trial count) when the trials
-    are, and fields[2] otherwise."""
+    are, and fields[2] otherwise.  Returns the multiply-adds charged."""
     d = dims[-1]
     if d * d > MAX_ENTRIES:  # before any float: d may be too large for one
         raise ConfigError(fields[0], f"d = {d} needs d^2 complex entries, "
@@ -217,17 +226,33 @@ def _check_budget(dims, trials: int, k: int, terms, fields: tuple[str, str, str]
                  else fields[1] if trials > MAX_FLOPS / base else fields[2])
         raise ConfigError(field, f"{trials} trial(s) of {per_trial:.6g} multiply-adds, "
                                  f"with {what}, are over the time budget of {MAX_FLOPS}")
+    return trials * per_trial
 
 
 def _check_sample_budget(model: str, triple: LevyTriple, cut: float | None, dims,
-                         dim_field: str, trials: int = 1) -> None:
+                         dim_field: str, trials: int = 1) -> float:
     """A P or L sample has E[n] = d * lam rank-one terms beyond the cut, with
     k = 1 sphere row each for P and k = 2 for L (_check_budget); lam and the
-    cut are the sampler's own (hermitian._decompose)."""
+    cut are the sampler's own (hermitian._decompose).  Returns the
+    multiply-adds charged."""
     dec = _read("triple", lambda: _decompose(triple, cut))
-    _check_budget(dims, trials, 2 if model == "nonhermitian" else 1, lambda d: d * dec.tail.lam,
-                  (dim_field, "trials_per_dim", "triple"),
-                  f"tail intensity {dec.tail.lam:g} beyond inner cut {dec.cut:g}")
+    return _check_budget(dims, trials, 2 if model == "nonhermitian" else 1,
+                         lambda d: d * dec.tail.lam, (dim_field, "trials_per_dim", "triple"),
+                         f"tail intensity {dec.tail.lam:g} beyond inner cut {dec.cut:g}")
+
+
+def _check_distance_budget(grid: GridSpec, dims, trials: int, flops: float) -> None:
+    """Each dim's cauchy_distance sums, at every grid point, the transform of
+    each trial's law and of their pool: 2 * trials * d summed points, as an
+    L law's 2d points are summed over their d squares
+    (spectra._real_transform), at _TERM_FLOPS each.  Those multiply-adds and
+    the samples' flops together over MAX_FLOPS name the grid."""
+    terms = grid.size * 2 * trials * sum(dims) * _TERM_FLOPS
+    if flops + terms > MAX_FLOPS:
+        raise ConfigError("outputs.cauchy_distance.grid",
+                          f"{grid.size:.6g} grid points take {terms:.6g} multiply-adds of "
+                          f"transforms, which with {flops:.6g} for the samples are over "
+                          f"the time budget of {MAX_FLOPS}")
 
 
 @dataclass

@@ -43,7 +43,8 @@ MAX_ENTRIES = 2**26
 # admits (8192).  At the 4-5e9 multiply-adds a second that one x86-64 core
 # reached in eigvalsh and in the rank-one products, that is about two
 # minutes.  The cost model (cli._check_budget) counts d^3 for each spectrum,
-# k E[n] d^2 for each rank-one sum and a fixed cost per trial.
+# k E[n] d^2 for each rank-one sum and a fixed cost per trial, and
+# cli._check_distance_budget the terms of the transform distance.
 MAX_FLOPS = 2**39
 
 # The highest moment order a run or `bplab moments` may ask for.  The free
@@ -133,9 +134,14 @@ class GridSpec:
             math.isfinite(y) and y >= 1.0 for y in self.imaginary_levels
         ):
             raise ValueError("imaginary_levels must be finite and >= 1")
-        n_points = ((hi - lo) / self.real_step + 1.0) * len(self.imaginary_levels)
-        if n_points > MAX_ENTRIES:
-            raise ValueError(f"{n_points:.3g} grid points exceed the budget of {MAX_ENTRIES}")
+        if self.size > MAX_ENTRIES:
+            raise ValueError(f"{self.size:.3g} grid points exceed the budget of {MAX_ENTRIES}")
+
+    @property
+    def size(self) -> float:
+        """The number of grid points, to within one a level."""
+        lo, hi = self.real_range
+        return ((hi - lo) / self.real_step + 1.0) * len(self.imaginary_levels)
 
     def points(self) -> np.ndarray:
         lo, hi = self.real_range
@@ -208,19 +214,89 @@ def _transform(nu, z: np.ndarray) -> np.ndarray:
 
 
 def _empirical_transform(nu: EmpiricalDistribution, z: np.ndarray) -> np.ndarray:
-    """Sum of 1/(x - z) over the support, over its size, one block of the
-    (z x support) product at a time so that memory stays bounded."""
+    """Sum of 1/(x - z) over the support, over its size, in real arithmetic
+    (_real_transform) at each z where the support and z lie within
+    _REAL_BOUND, by complex division at any other."""
     x = nu.support_points
-    w = 1.0 / x.size
     flat = z.ravel()
-    out = np.zeros(flat.shape, dtype=complex)
+    if not (-_REAL_BOUND <= x[0] and x[-1] <= _REAL_BOUND):  # x is sorted
+        return _division_transform(x, flat).reshape(z.shape)
+    real = (np.abs(flat) <= _REAL_BOUND) & (flat.imag >= 1.0 / _REAL_BOUND)
+    if real.all():
+        return _real_transform(x, flat).reshape(z.shape)
+    out = np.empty(flat.shape, dtype=complex)
+    out[real] = _real_transform(x, flat[real])
+    out[~real] = _division_transform(x, flat[~real])
+    return out.reshape(z.shape)
+
+
+# The real kernels neither overflow nor underflow while |x| <= 2**250,
+# |z| <= 2**250 and Im z >= 2**-250: t^2 + h^2 stays below 2**1004, and at
+# least (Im z)^2 >= 2**-500, or (Im z)^4 >= 2**-1000 in the mirror form,
+# |s^2 - z^2|^2 = |s - z|^2 |s + z|^2.  A jump at 1.3e154 squares past
+# the largest float.
+_REAL_BOUND = 2.0**250
+
+
+def _real_transform(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The mean of 1/(x - z) over the sorted x, for z within _REAL_BOUND.
+
+    A support of even size that is its own negation reversed (a symmetrized
+    singular law, or a pool of them) pairs each s >= 0 with -s, and
+    1/(s - z) + 1/(-s - z) = 2z/(s^2 - z^2): its transform is z g(z^2), g
+    the mean of 1/(s^2 - w) over the nonnegative half.  Im z^2 = 2 Re z Im z
+    may take either sign; the sums need only t^2 + h^2 > 0.  Complex
+    products are written out in real arithmetic, so that every z gives the
+    same bits in an array as alone."""
+    a, h = z.real, z.imag
+    n = x.size
+    if not (x[0] == -x[-1] and n % 2 == 0 and np.array_equal(x, -x[::-1])):
+        return _real_sums(x, a, h)
+    half = x[n // 2 :]
+    g = _real_sums(half * half, a * a - h * h, 2.0 * a * h)
+    out = np.empty_like(g)
+    out.real, out.imag = a * g.real - h * g.imag, a * g.imag + h * g.real
+    return out
+
+
+def _real_sums(x: np.ndarray, a: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The mean of 1/(x - z) over x at each z = a + ih.  With t = x - a and
+    r = 1/(t^2 + h^2), 1/(x - z) = (t + ih) r: its real part is the mean of
+    t r and its imaginary part h times the mean of r.  One block of the
+    (z x support) product at a time, so that memory stays bounded; each z's
+    terms are summed in the same order whatever the other z."""
+    re, im = np.zeros(a.shape), np.zeros(a.shape)
+    hh = h * h
     xstep = min(x.size, _TRANSFORM_BLOCK)
     zstep = max(1, _TRANSFORM_BLOCK // xstep)
-    for i in range(0, flat.size, zstep):
-        zb = flat[i : i + zstep, None]
+    for i in range(0, a.size, zstep):
+        ab, hb = a[i : i + zstep, None], hh[i : i + zstep, None]
+        for j in range(0, x.size, xstep):
+            t = x[j : j + xstep] - ab
+            r = t * t
+            r += hb
+            np.reciprocal(r, out=r)
+            im[i : i + zstep] += r.sum(axis=1)
+            t *= r
+            re[i : i + zstep] += t.sum(axis=1)
+    w = 1.0 / x.size
+    out = np.empty(a.shape, dtype=complex)
+    out.real, out.imag = w * re, w * h * im
+    return out
+
+
+def _division_transform(x: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The mean of 1/(x - z) over x by complex division, blocked as in
+    _real_sums: for supports or points beyond _REAL_BOUND."""
+    w = 1.0 / x.size
+    out = np.zeros(z.shape, dtype=complex)
+    xstep = min(x.size, _TRANSFORM_BLOCK)
+    zstep = max(1, _TRANSFORM_BLOCK // xstep)
+    for i in range(0, z.size, zstep):
+        zb = z[i : i + zstep, None]
         for j in range(0, x.size, xstep):
             out[i : i + zstep] += np.sum(w / (x[j : j + xstep] - zb), axis=1)
-    return out.reshape(z.shape)
+    return out
 
 
 def cauchy_sup_distance(nu1, nu2, grid: GridSpec | None = None) -> float:

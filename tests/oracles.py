@@ -170,6 +170,19 @@ def reference_density(law: ReferenceLaw, x: float) -> float:
     raise ValueError(f"unknown law {law!r}")
 
 
+def empirical_transform_by_division(x, zs):
+    """The uniform law on the points x: its transform at each of the points
+    zs, the mean of the complex quotients 1/(x - z), and the mean of their
+    moduli, the scale of that sum's rounding."""
+    x = np.asarray(x, dtype=float)
+    f, scale = [], []
+    for z in np.asarray(zs, dtype=complex).ravel():
+        terms = 1.0 / (x - z)
+        f.append(np.mean(terms))
+        scale.append(np.mean(np.abs(terms)))
+    return np.array(f), np.array(scale)
+
+
 def mp_transform_quad(lam, zs):
     """Marchenko-Pastur(lam) transform at the points zs: adaptive quadrature
     of density / (x - z) over the support [a, b], vector-valued over zs,

@@ -619,19 +619,27 @@ def test_a_grid_key_left_out_takes_the_gridspec_default():
 
 
 @pytest.mark.parametrize(
-    "overrides, field",
+    "overrides, field, budget",
     [
-        ({"triple": {"preset": "poisson", "lambda": 1e9}, "dims": [4]}, "triple"),
-        ({"dims": [200000]}, "dims"),
+        ({"triple": {"preset": "poisson", "lambda": 1e9}, "dims": [4]}, "triple",
+         MAX_ENTRIES),
+        ({"dims": [200000]}, "dims", MAX_ENTRIES),
         ({"outputs": {"cauchy_distance": {"target": {"law": "dirac", "params": [2.0]},
                                           "grid": {"real_step": 1e-9}}}},
-         "outputs.cauchy_distance.grid"),
-        ({"outputs": {"histogram": {"bins": 10**12}}}, "outputs.histogram.bins"),
+         "outputs.cauchy_distance.grid", MAX_ENTRIES),
+        ({"outputs": {"histogram": {"bins": 10**12}}}, "outputs.histogram.bins",
+         MAX_ENTRIES),
+        # 4.8e6 grid points within MAX_ENTRIES, but about an hour of transforms
+        ({"triple": {"preset": "gaussian", "mean": 0.0, "var": 1.0}, "dims": [1000],
+          "trials_per_dim": 50,
+          "outputs": {"cauchy_distance": {"target": {"law": "semicircle", "params": [0.0, 1.0]},
+                                          "grid": {"real_step": 1e-5}}}},
+         "outputs.cauchy_distance.grid", MAX_FLOPS),
     ],
-    ids=["tail-intensity", "dim", "grid-points", "histogram-bins"],
+    ids=["tail-intensity", "dim", "grid-points", "histogram-bins", "statistics-time"],
 )
 def test_cli_run_over_budget_exits_2_before_sampling(tmp_path, capsys, monkeypatch,
-                                                     overrides, field):
+                                                     overrides, field, budget):
     def no_run(config):
         raise AssertionError("the config should be refused before the run")
 
@@ -640,7 +648,7 @@ def test_cli_run_over_budget_exits_2_before_sampling(tmp_path, capsys, monkeypat
     path.write_text(json.dumps(config(**overrides)))
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
-    assert f"config error: {field}:" in captured.err and str(MAX_ENTRIES) in captured.err
+    assert f"config error: {field}:" in captured.err and str(budget) in captured.err
     assert captured.out == ""
 
 
@@ -872,15 +880,19 @@ def test_project_reports_up_to_one_block_are_the_one_product_bytes(monkeypatch, 
 # products in another order.  All three were recorded again (from
 # 9ed31013..., 0b5b7269... and 31f826ad...) when each row's norm came from an
 # einsum, which alone moved the low-rank P rows, and the summed tails' rows
-# from the keyed SFC64 sub-stream (rng.sub_stream).
+# from the keyed SFC64 sub-stream (rng.sub_stream).  All three were recorded
+# again (from f09d45fb..., 5faea5ce... and c89fb205...) when empirical
+# transforms came to be summed in real arithmetic, and a mirror-symmetric
+# law's over its squares: only the cauchy_distance rows moved, by at most
+# 9.7e-17.
 RUN_ROWS = [
     ("hermitian", {"preset": "poisson", "lambda": 0.5}, ("marchenko_pastur", [0.5]), [20, 40],
-     "f09d45fbff2cf3286375b9f739c42eb301f32487651e3bc00103f161fe8596f1"),
+     "94c702ae41235549ddc33d501faf9594fec90579de62740765488a8407b7431b"),
     ("nonhermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.125], [-1, 0.125]]},
      ("semicircle", [0.0, 1.0]), [20, 40],
-     "5faea5ceb61ce33688189c3fbbae392ca4d384329a7edfbdf538c59462a866d2"),
+     "f12a9554a110b473715d295b24141129089559bf205ded6ca155582c01d8d86e"),
     ("hermitian", {"gamma": 0, "atoms": [[0, 0.5], [1, 0.25]]}, ("semicircle", [0.25, 1.0]),
-     [20, 300], "c89fb205d84651d94e04e7b6085e57e3a3a5a973cb0c64b3ffda91c35ee77ed2"),
+     [20, 300], "3802a8e3d63681873c5aff53cc3d4dabebb6b14e64947248f8c4a8d3357d0216"),
 ]
 
 

@@ -22,8 +22,10 @@ from bplab.spectra import (
     marchenko_pastur,
     psi_image_moments,
     semicircle,
+    _REAL_BOUND,
 )
-from oracles import mp_atom, mp_transform_quad, reference_density
+from oracles import (empirical_transform_by_division, mp_atom, mp_transform_quad,
+                     reference_density)
 
 
 def test_empirical_distribution_validation_and_sorting():
@@ -62,13 +64,6 @@ def test_empirical_moments_by_hand():
 def test_reference_moments_semicircle_catalan():
     m = psi_image_moments(gaussian(0.0, 1.0), 8)
     assert np.allclose(m.values, (0, 1, 0, 2, 0, 5, 0, 14), atol=1e-12)
-
-
-def test_reference_moments_marchenko_pastur():
-    m = psi_image_moments(poisson(0.5), 4)
-    assert np.allclose(m.values, (0.5, 0.75, 1.375, 2.8125), atol=1e-12)
-    m1 = psi_image_moments(poisson(2.0), 2)
-    assert m1.values == (2.0, 6.0)
 
 
 def test_reference_moments_dirac():
@@ -152,6 +147,12 @@ def test_mp_atom():
 # transforms
 
 
+def mirror(s):
+    """The points +-s: an even support that is its own negation reversed."""
+    s = np.abs(s)
+    return np.concatenate([-s, s])
+
+
 def test_transform_of_point_masses():
     z = 0.5 + 2.0j
     assert cauchy_transform(dirac_law(1.0), z) == pytest.approx(1.0 / (1.0 - z))
@@ -217,6 +218,8 @@ def test_marchenko_pastur_closed_form_matches_quadrature(lam):
         # 70000 points split the support as well
         EmpiricalDistribution(np.random.default_rng(1).standard_normal(5000)),
         EmpiricalDistribution(np.random.default_rng(2).standard_normal(70000)),
+        # its own mirror image, with +-0 pairs: summed over its squares
+        EmpiricalDistribution(mirror(np.r_[0.0, 0.0, np.random.default_rng(3).standard_normal(7)])),
     ],
     ids=lambda nu: getattr(nu, "kind", "empirical"),
 )
@@ -233,6 +236,41 @@ def test_array_transform_equals_scalar_calls(nu):
         # from its scalar path, and the closed forms cancel in -z + root
         np.testing.assert_allclose(f, expected, rtol=64 * np.finfo(float).eps, atol=0)
     assert isinstance(cauchy_transform(nu, 1.0 + 1.0j), complex)
+
+
+GRID = GridSpec((-3.0, 3.0), 0.3, (1.0, 2.5, 7.0)).points()
+
+
+@pytest.mark.parametrize(
+    "x, zs",
+    [
+        (np.array([0.3]), GRID),
+        (np.random.default_rng(4).standard_normal(7), GRID),
+        # its ends mirror each other but the rest does not
+        (np.array([-2.0, -1.0, 0.5, 2.0]), GRID),
+        (np.random.default_rng(5).standard_normal(5000), GRID),
+        (np.random.default_rng(6).standard_normal(70000), GRID),
+        (mirror(np.r_[0.0, 0.0, 0.0, np.random.default_rng(7).standard_normal(20)]), GRID),
+        (mirror(np.random.default_rng(8).standard_normal(40000)), GRID),
+        # a pooled law of three symmetrized singular laws
+        (np.concatenate([mirror(np.random.default_rng(9 + k).standard_normal(300))
+                         for k in range(3)]), GRID),
+        # at the real kernels' bounds, and beyond them: complex division
+        (np.array([-_REAL_BOUND, -1.0, 1.0, _REAL_BOUND]),
+         np.r_[1j / _REAL_BOUND, (1 + 1j) * _REAL_BOUND / 2, 1j - _REAL_BOUND / 2, GRID]),
+        (np.array([-1.0, 0.5, 1e300]), GRID),
+        (np.array([-1e300, 1e300]), GRID),
+        (np.array([-1.3e154, -1.0, 1.0, 1.3e154]), GRID),
+        (np.array([0.5, 2.0]), np.r_[0.5 + 1e-300j, GRID, 1e300 + 1j]),
+    ],
+    ids=["one-point", "seven-points", "mirrored-ends", "5000-points", "70000-points",
+         "mirror-zeros", "mirror-80000", "mirror-pool", "at-the-bound", "jump-1e300",
+         "mirror-1e300", "pairs-1.3e154", "tiny-imaginary-part"],
+)
+def test_empirical_transform_agrees_with_complex_division(x, zs):
+    nu = EmpiricalDistribution(x)
+    want, scale = empirical_transform_by_division(nu.support_points, zs)
+    assert np.all(np.abs(cauchy_transform(nu, zs) - want) <= 1e-13 * scale)
 
 
 def test_import_loads_no_scipy():
@@ -287,6 +325,7 @@ def test_psi_image_moments_of_poisson_is_marchenko_pastur():
     assert np.allclose(
         psi_image_moments(poisson(0.5), 4).values, (0.5, 0.75, 1.375, 2.8125), atol=1e-12
     )
+    assert psi_image_moments(poisson(2.0), 2).values == (2.0, 6.0)
 
 
 def test_psi_image_moments_of_gaussian_is_semicircle():
