@@ -24,7 +24,8 @@ import numpy as np
 from . import __version__, spectra
 from .hermitian import BLOCK, HermitianSample, _decompose, _rank_one_terms, sample_P_many
 from .nonhermitian import sample_L_many, symmetrized_singular_law
-from .levy import LevyTriple, _json_float, _json_int, is_symmetric, poisson, triple_from_spec
+from .levy import (ConfigError, LevyTriple, _finite, _integer, _json_float, _object, _read,
+                   is_symmetric, poisson, triple_from_spec)
 from .rng import SEED_LIMIT, RngStream
 from .spectra import (
     MAX_ENTRIES,
@@ -40,14 +41,6 @@ from .spectra import (
 )
 
 __all__ = ["ExperimentConfig", "Report", "run", "projection_experiment", "main"]
-
-
-class ConfigError(ValueError):
-    """Invalid experiment config; carries the offending field path."""
-
-    def __init__(self, path: str, message: str):
-        self.path = path
-        super().__init__(f"{path}: {message}")
 
 
 @dataclass(frozen=True)
@@ -100,9 +93,9 @@ class ExperimentConfig:
                 target, grid = _parse_distance_target(val)
         cut = doc.get("inner_cut")
         if cut is not None:
-            cut = _read("inner_cut", lambda: _json_float(cut))
-            if not 0 < cut < math.inf:
-                raise ConfigError("inner_cut", "must be a positive finite number")
+            cut = _finite("inner_cut", cut)
+            if not cut > 0:
+                raise ConfigError("inner_cut", "must be positive")
         triple = _parse_triple(doc["triple"], model)
         flops = _check_sample_budget(model, triple, cut, dims, "dims", trials)
         if grid is not None:
@@ -120,49 +113,6 @@ class ExperimentConfig:
             distance_grid=grid,
             inner_cut=cut,
         )
-
-
-# Each value of a config, of a triple spec or of a flag is read by one of
-# these rules, and refused under its path: numbers by levy._json_float,
-# integers by _integer, objects by _object, and every other read by _read.
-
-
-def _object(doc, path: str, *known: str) -> dict:
-    """doc, an object whose fields are all known ones; a config error naming
-    path (the config itself when path is empty), or the unknown field's
-    path, otherwise."""
-    if not isinstance(doc, dict):
-        raise ConfigError(path or "$", "must be an object")
-    for key in doc:
-        if key not in known:
-            raise ConfigError(f"{path}.{key}" if path else key,
-                              f"unknown field; known: {', '.join(known)}")
-    return doc
-
-
-def _integer(path: str, value, least: int, most: float = math.inf, why: str = "") -> int:
-    """value, a JSON integer (levy._json_int) in [least, most]; a config
-    error naming path, and the range, otherwise."""
-    try:
-        if least <= _json_int(value) <= most:
-            return value
-    except TypeError:
-        pass
-    bound = f"in [{least}, {most}]" if most < math.inf else f">= {least}"
-    raise ConfigError(path, f"must be an integer {bound}{why}")
-
-
-def _read(path: str, read):
-    """read(); a value it cannot read (TypeError, ValueError or
-    OverflowError), or a file or JSON text it cannot decode (OSError;
-    JSONDecodeError and UnicodeDecodeError are ValueErrors), is a config
-    error naming path."""
-    try:
-        return read()
-    except (OSError, TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(path, str(exc)) from exc
-    except RecursionError:
-        raise ConfigError(path, "JSON nested too deeply") from None
 
 
 def _parse_triple(spec, model: str = "hermitian") -> LevyTriple:

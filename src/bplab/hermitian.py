@@ -225,29 +225,14 @@ def sample_Q(x, rng: RngStream | np.random.Generator) -> HermitianSample:
     return HermitianSample(_hermitian_part((u * x) @ u.conj().T))
 
 
-def _gue_matrix(d: int, sigma2: float, gen: np.random.Generator) -> np.ndarray:
-    """GUE(d, sigma2) under the trace inner product: real diagonal N(0, sigma2),
-    off-diagonal complex entries with total variance sigma2.  The lower
-    triangle is written in place, so the matrix is the only d x d array."""
-    m = np.zeros((d, d), dtype=complex)
-    diag = standard_normal(gen, d) * np.sqrt(sigma2)
-    n_off = d * (d - 1) // 2
-    if n_off:
-        upper = np.triu_indices(d, k=1)
-        off = standard_complex_normal(gen, n_off)
-        off *= np.sqrt(sigma2)
-        m[upper] = off
-        m[upper[::-1]] = np.conjugate(off, out=off)
-    np.fill_diagonal(m, diag)
-    return m
-
-
 def sample_P_gaussian(
     mean: float, var: float, d: int, rng: RngStream | np.random.Generator
 ) -> HermitianSample:
     """Exact Gaussian case: sqrt(var) * (GUE(d, 1/(d+1)) + X/sqrt(d+1) * I) + mean * I
-    with X an independent standard real Gaussian.  The scaling and the
-    diagonal terms are applied in place."""
+    with X an independent standard real Gaussian.  GUE(d, s2) under the
+    trace inner product has a real N(0, s2) diagonal and off-diagonal complex
+    entries of total variance s2; the triangles are written and scaled in
+    place, so the matrix is the only d x d array."""
     if not (np.isfinite(mean) and 0 <= var < np.inf):
         raise ValueError("mean must be finite, variance finite and nonnegative")
     if d < 1:
@@ -255,12 +240,21 @@ def sample_P_gaussian(
     gen = as_generator(rng)
     if var == 0:
         return HermitianSample(dim=d, shift=mean)
-    m = _gue_matrix(d, 1.0 / (d + 1), gen)
+    sigma = np.sqrt(1.0 / (d + 1))
+    diag = standard_normal(gen, d) * sigma
+    m = np.zeros((d, d), dtype=complex)
+    n_off = d * (d - 1) // 2
+    if n_off:
+        upper = np.triu_indices(d, k=1)
+        off = standard_complex_normal(gen, n_off)
+        off *= sigma
+        m[upper] = off
+        m[upper[::-1]] = np.conjugate(off, out=off)
+        del upper, off  # not held through the sample's Hermitian check
     x = float(standard_normal(gen, 1)[0])
     scale = np.sqrt(var)
-    diag = scale * (m.diagonal().real + x / np.sqrt(d + 1)) + mean
     m *= scale
-    np.fill_diagonal(m, diag)
+    np.fill_diagonal(m, scale * (diag + x / np.sqrt(d + 1)) + mean)
     return HermitianSample(m)
 
 

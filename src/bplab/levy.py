@@ -211,12 +211,9 @@ def cumulants_from_triple(t: LevyTriple, kmax: int) -> CumulantSequence:
 def compound_poisson_triple(rho: FiniteMeasure, lam: float) -> LevyTriple:
     """The (gamma, G) of the compound Poisson law with intensity lam and
     jump law rho: G = lam u^2/(1+u^2) drho, gamma = lam int u/(1+u^2) drho."""
-    if lam < 0:
-        raise ValueError("intensity must be nonnegative")
+    CompoundPoissonParams(lam, rho)  # refuses a bad intensity or jump law
     if lam == 0:
         return LevyTriple(0.0, FiniteMeasure.zero())
-    if abs(rho.total_mass - 1.0) > 1e-9:
-        raise ValueError("rho must be a probability measure")
     u, w = rho.locations(), rho.weights()
     uj = u[u != 0.0]
     with np.errstate(over="ignore", invalid="ignore"):  # FiniteMeasure refuses inf and nan
@@ -332,7 +329,8 @@ def cauchy(a: float, n_nodes: int = 401) -> LevyTriple:
 
 def triple_from_spec(spec) -> LevyTriple:
     """Parse the JSON-compatible triple description; any bad spec raises
-    ValueError.
+    ValueError, a ConfigError naming the field at fault within the spec
+    (`lambda`, `convolve[1].lambda`) where there is one.
 
     Accepted forms: {"gamma": g, "atoms": [[loc, w], ...]},
     {"preset": "gaussian", "mean": m, "var": v}, {"preset": "poisson",
@@ -341,74 +339,115 @@ def triple_from_spec(spec) -> LevyTriple:
     {"convolve": [spec, ...]}.
     """
     try:
-        return _parse_spec(spec)
+        return _parse_spec(spec, "")
     except RecursionError:
         raise ValueError("triple spec is nested too deeply") from None
 
 
-def _parse_spec(spec) -> LevyTriple:
+def _parse_spec(spec, path: str) -> LevyTriple:
+    """The triple of spec, its fields named under path ($ for the spec
+    itself when path is empty)."""
+    at = f"{path}." if path else ""  # the path of each field is at + its key
+
+    def number(key: str) -> float:
+        if key not in spec:
+            raise ConfigError(at + key, "missing")
+        return _finite(at + key, spec[key])
+
     if not isinstance(spec, dict):
-        raise ValueError("triple spec must be an object")
+        raise ConfigError(path or "$", "must be an object")
     if "convolve" in spec:
-        _check_keys(spec, "convolve")
-        parts = spec["convolve"]
+        parts = _object(spec, path, "convolve")["convolve"]
         if not isinstance(parts, list) or not parts:
-            raise ValueError("'convolve' takes a nonempty list of specs")
-        out = _parse_spec(parts[0])
-        for part in parts[1:]:
-            out = convolve(out, _parse_spec(part))
+            raise ConfigError(at + "convolve", "must be a nonempty list of specs")
+        out = _parse_spec(parts[0], at + "convolve[0]")
+        for i in range(1, len(parts)):
+            out = convolve(out, _parse_spec(parts[i], f"{at}convolve[{i}]"))
         return out
     if "preset" in spec:
         name = spec["preset"]
         if name == "gaussian":
-            _check_keys(spec, "preset", "mean", "var")
-            return gaussian(_number(spec, "mean"), _number(spec, "var"))
+            _object(spec, path, "preset", "mean", "var")
+            return gaussian(number("mean"), number("var"))
         if name == "poisson":
-            _check_keys(spec, "preset", "lambda")
-            return poisson(_number(spec, "lambda"))
+            _object(spec, path, "preset", "lambda")
+            return poisson(number("lambda"))
         if name == "cauchy":
-            _check_keys(spec, "preset", "a", "nodes")
-            a = _number(spec, "a")
-            try:
-                nodes = _json_int(spec.get("nodes", 401))
-            except TypeError:
-                nodes = 0  # refused below
-            if not 8 <= nodes <= MAX_CAUCHY_NODES:
-                raise ValueError(f"'nodes' must be an integer in [8, {MAX_CAUCHY_NODES}]")
-            return cauchy(a, nodes)
+            _object(spec, path, "preset", "a", "nodes")
+            return cauchy(number("a"),
+                          _integer(at + "nodes", spec.get("nodes", 401), 8, MAX_CAUCHY_NODES))
         if name == "dirac":
-            _check_keys(spec, "preset", "a")
-            return dirac(_number(spec, "a"))
-        raise ValueError(f"unknown preset {name!r}")
+            _object(spec, path, "preset", "a")
+            return dirac(number("a"))
+        raise ConfigError(at + "preset", f"unknown preset {name!r}")
     if "gamma" in spec:
-        _check_keys(spec, "gamma", "atoms")
-        try:
-            atoms = spec.get("atoms", [])
-            if not isinstance(atoms, list):
-                raise TypeError(f"a {type(atoms).__name__} is not a list")
-            pairs = [[_json_float(u), _json_float(w)] for u, w in atoms]
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"'atoms' must be a list of [location, weight] pairs: {exc}") from exc
-        return LevyTriple(_number(spec, "gamma"), FiniteMeasure(pairs))
-    raise ValueError("triple spec needs 'gamma', 'preset' or 'convolve'")
+        atoms = _object(spec, path, "gamma", "atoms").get("atoms", [])
+        if not isinstance(atoms, list):  # "" and {} would read as no atoms
+            raise ConfigError(at + "atoms", "must be a list of [location, weight] pairs")
+        return LevyTriple(number("gamma"), _read(at + "atoms", lambda: FiniteMeasure(
+            [[_json_float(u), _json_float(w)] for u, w in atoms])))
+    raise ConfigError(path or "$", "needs 'gamma', 'preset' or 'convolve'")
 
 
-def _check_keys(spec: dict, *known: str) -> None:
-    """Refuse a key that the form of spec, with the given keys, does not take."""
-    for key in spec:
+# Each value of a config, of a triple spec or of a flag is read by one of
+# these rules, and refused under its path: numbers by _json_float (finite
+# ones by _finite), integers by _integer, objects by _object, and every
+# other read by _read.
+
+
+class ConfigError(ValueError):
+    """Invalid config, triple spec or flag; carries the offending field's path."""
+
+    def __init__(self, path: str, message: str):
+        self.path = path
+        super().__init__(f"{path}: {message}")
+
+
+def _object(doc, path: str, *known: str) -> dict:
+    """doc, an object whose fields are all known ones; a config error naming
+    path (the config itself when path is empty), or the unknown field's
+    path, otherwise."""
+    if not isinstance(doc, dict):
+        raise ConfigError(path or "$", "must be an object")
+    for key in doc:
         if key not in known:
-            raise ValueError(f"unknown key {key!r}: this form takes {', '.join(known)}")
+            raise ConfigError(f"{path}.{key}" if path else key,
+                              f"unknown field; known: {', '.join(known)}")
+    return doc
 
 
-def _number(spec: dict, key: str, default: float | None = None) -> float:
-    """spec[key], or default when absent, as a finite float; errors name the key."""
+def _integer(path: str, value, least: int, most: float = math.inf, why: str = "") -> int:
+    """value, a JSON integer (_json_int) in [least, most]; a config error
+    naming path, and the range, otherwise."""
     try:
-        value = _json_float(spec.get(key, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{key!r} is missing or not a number") from exc
-    if not math.isfinite(value):
-        raise ValueError(f"{key!r} must be finite")
-    return value
+        if least <= _json_int(value) <= most:
+            return value
+    except TypeError:
+        pass
+    bound = f"in [{least}, {most}]" if most < math.inf else f">= {least}"
+    raise ConfigError(path, f"must be an integer {bound}{why}")
+
+
+def _finite(path: str, value) -> float:
+    """value, a JSON number (_json_float), as a finite float; a config error
+    naming path otherwise."""
+    number = _read(path, lambda: _json_float(value))
+    if not math.isfinite(number):
+        raise ConfigError(path, "must be finite")
+    return number
+
+
+def _read(path: str, read):
+    """read(); a value it cannot read (TypeError, ValueError or
+    OverflowError), or a file or JSON text it cannot decode (OSError;
+    JSONDecodeError and UnicodeDecodeError are ValueErrors), is a config
+    error naming path."""
+    try:
+        return read()
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(path, str(exc)) from exc
+    except RecursionError:
+        raise ConfigError(path, "JSON nested too deeply") from None
 
 
 def _json_float(value) -> float:

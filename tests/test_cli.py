@@ -413,13 +413,20 @@ def test_cli_moments_subcommand(capsys):
 def test_cli_moments_rejects_bad_spec(capsys):
     assert main(["moments", "{not json"]) == 2
     assert main(["moments", json.dumps({"preset": "nope"})]) == 2
-    for spec, name in [({"preset": "gaussian", "mean": 0}, "'var'"),
-                       ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "'mean'"),
-                       ({"gamma": float("inf")}, "'gamma'"),
+    for spec, name in [({"preset": "gaussian", "mean": 0}, "triple: var:"),
+                       ({"preset": "gaussian", "mean": float("nan"), "var": 1}, "triple: mean:"),
+                       ({"gamma": float("inf")}, "triple: gamma:"),
                        ({"gamma": 0, "atoms": [[1e100, 1]]}, "triple"),
-                       ({"preset": "poisson", "lambda": "0.5"}, "'lambda'"),
-                       ({"gamma": 0, "atoms": ""}, "'atoms'"),
-                       ({"gamma": 0, "atoms": {}}, "'atoms'")]:
+                       ({"preset": "poisson", "lambda": "0.5"}, "triple: lambda:"),
+                       ({"gamma": 0, "atoms": ""}, "triple: atoms:"),
+                       ({"gamma": 0, "atoms": {}}, "triple: atoms:"),
+                       # a field of a convolve part is named by the part's place
+                       ({"convolve": [{"preset": "poisson", "lambda": 1},
+                                      {"preset": "poisson", "lambda": "1"}]},
+                        "triple: convolve[1].lambda: a str is not a number"),
+                       ({"convolve": [{"preset": "dirac", "a": 1},
+                                      {"preset": "dirac", "a": 1, "b": 2}]},
+                        "triple: convolve[1].b: unknown field")]:
         capsys.readouterr()
         assert main(["moments", json.dumps(spec)]) == 2
         assert name in capsys.readouterr().err
@@ -436,10 +443,12 @@ def test_cli_moments_rejects_bad_spec(capsys):
         (["moments", '{"preset":"dirac","a":1}', "--kmax", "0"], "--kmax"),
         (["moments", '{"preset":"dirac","a":1}', "--kmax", str(MAX_KMAX + 1)], "--kmax"),
         (["moments", '{"gamma":0,"atoms":[[1e100,1]]}', "--kmax", "8"], "triple"),
-        (["sample", '{"preset":"cauchy","a":1,"node":1001}', "--dim", "4"],
-         "config error: triple: unknown key 'node'"),
-        (["moments", '{"preset":"cauchy","a":1,"node":1001}'],
-         "config error: triple: unknown key 'node'"),
+        pytest.param(["sample", '{"preset":"cauchy","a":1,"node":1001}', "--dim", "4"],
+                     "config error: triple: node: unknown field; known: preset, a, nodes",
+                     id="sample-unknown-spec-field"),
+        pytest.param(["moments", '{"preset":"cauchy","a":1,"node":1001}'],
+                     "config error: triple: node: unknown field; known: preset, a, nodes",
+                     id="moments-unknown-spec-field"),
         (["sample", '{"preset":"dirac","a":1}', "--dim", "2", "--seed", "-1"], "--seed"),
         (["project", "--dim", "4", "--count", "1", "--seed", str(2**64)], "--seed"),
         # a flag's text is a JSON integer with nothing around it
@@ -663,7 +672,7 @@ def test_cauchy_nodes_out_of_bounds_exit_2_before_the_run(tmp_path, capsys, monk
     path.write_text(json.dumps(config(triple={"preset": "cauchy", "a": 1, "nodes": nodes})))
     assert main(["run", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "config error: triple:" in captured.err and "'nodes'" in captured.err
+    assert "config error: triple: nodes:" in captured.err
     assert captured.out == ""
 
 

@@ -9,6 +9,7 @@ from bplab.hermitian import _decompose
 from bplab.levy import (
     MAX_CAUCHY_NODES,
     CompoundPoissonParams,
+    ConfigError,
     FiniteMeasure,
     LevyTriple,
     at_zero,
@@ -543,12 +544,17 @@ def test_spec_rejects_malformed(bad):
         ({"preset": "cauchy", "a": 1.0, "node": 1001}, "node"),
         ({"preset": "dirac", "a": 1.0, "b": 2.0}, "b"),
         ({"gamma": 0.0, "atom": [[1.0, 1.0]]}, "atom"),
+        # a part of a convolve is named by its place in the list
+        ({"convolve": [{"preset": "dirac", "a": 1.0}, {"preset": "poisson", "lamda": 1.0}]},
+         "convolve[1].lamda"),
     ],
-    ids=["convolve", "gaussian", "poisson", "cauchy", "dirac", "gamma"],
+    ids=["convolve", "gaussian", "poisson", "cauchy", "dirac", "gamma", "convolve-part"],
 )
 def test_spec_refuses_a_key_its_form_does_not_take(spec, key):
-    with pytest.raises(ValueError, match=f"unknown key '{key}'"):
+    with pytest.raises(ConfigError) as err:
         triple_from_spec(spec)
+    assert err.value.path == key
+    assert str(err.value).startswith(f"{key}: unknown field; known: ")
 
 
 def test_spec_nested_past_the_recursion_limit_is_a_value_error():
