@@ -38,10 +38,10 @@ class MomentSequence:
         return len(self.values)
 
     def __getitem__(self, k: int) -> float:
-        """m_k, 1-indexed; m_0 = 1."""
-        if k == 0:
-            return 1.0
-        return self.values[k - 1]
+        """m_k, 1-indexed; m_0 = 1.  Orders outside 0..kmax raise IndexError."""
+        if not 0 <= k <= self.kmax:
+            raise IndexError(f"no moment of order {k}")
+        return self.values[k - 1] if k else 1.0
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class CumulantSequence:
         return len(self.values)
 
     def __getitem__(self, k: int) -> float:
+        if not 1 <= k <= self.kmax:  # a tuple index would wrap
+            raise IndexError(f"no cumulant of order {k}")
         return self.values[k - 1]
 
     def __add__(self, other: "CumulantSequence") -> "CumulantSequence":

@@ -149,10 +149,12 @@ def _lower_core(x: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _hermitian_part(r: np.ndarray) -> np.ndarray:
     """(r + r^*) / 2 written over the square array r, one pair of tiles across
-    the diagonal at a time; entry (i, j) keeps the bits of (conj(r[j, i]) +
-    r[i, j]) / 2, so the result is exactly Hermitian.  The temporaries are two
-    contiguous (BLOCK / 2)-square tiles, as numpy's ufuncs buffer strided
-    2-d views and copyto does not."""
+    the diagonal at a time: a tile is averaged, and its mirror written as its
+    conjugate transpose, imaginary parts as 0 - Im.  The result is exactly
+    Hermitian, with the bits of (conj(r[j, i]) + r[i, j]) / 2 at (i, j) but
+    for the -0 below the diagonal where Im r[i, j] = -0 and Im r[j, i] = +0.
+    The temporaries are two contiguous (BLOCK / 2)-square tiles, as numpy's
+    ufuncs buffer strided 2-d views and copyto does not."""
     d = r.shape[0]
     s = min(d, BLOCK // 2)
     bufs = np.empty((2, s, s), dtype=r.dtype)
@@ -166,10 +168,8 @@ def _hermitian_part(r: np.ndarray) -> np.ndarray:
             y += x
             y /= 2.0
             np.copyto(a, y)
-            if i < j:  # b is still as it was
-                np.copyto(y, b.T)
-                y += np.conjugate(x, out=x)
-                y /= 2.0
+            if i < j:
+                np.subtract(0.0, y.imag, out=y.imag)
                 np.copyto(b, y.T)
     return r
 
@@ -378,9 +378,9 @@ def _sample_composite(
     generator or from sub-streams keyed by it (_rank_one_terms).  A
     sample with a dense block has its tail summed, as its spectrum needs the
     entries, and added into the block as soon as it is drawn (_with_tail),
-    so that one d x d array is kept.  Callers pass the blocks by their
-    module-level names, looked up per call, so wrappers installed on those
-    names (perfbench/tracing.py) are the ones run."""
+    so that one d x d array is kept.  Callers look the blocks up by their
+    module-level names at call time, so wrappers installed on those names
+    (perfbench/tracing.py) are the ones run."""
     dec = _decompose(t, inner_cut)
     gen = as_generator(rng)
     out = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -365,17 +365,18 @@ def _parse_spec(spec, path: str) -> LevyTriple:
             out = convolve(out, _parse_spec(parts[i], f"{at}convolve[{i}]"))
         return out
     if "preset" in spec:
+        # the numbers are read first; a builder's range error names the field it checks
         name = spec["preset"]
         if name == "gaussian":
             _object(spec, path, "preset", "mean", "var")
-            return gaussian(number("mean"), number("var"))
+            return _read(at + "var", partial(gaussian, number("mean"), number("var")))
         if name == "poisson":
             _object(spec, path, "preset", "lambda")
-            return poisson(number("lambda"))
+            return _read(at + "lambda", partial(poisson, number("lambda")))
         if name == "cauchy":
             _object(spec, path, "preset", "a", "nodes")
-            return cauchy(number("a"),
-                          _integer(at + "nodes", spec.get("nodes", 401), 8, MAX_CAUCHY_NODES))
+            return _read(at + "a", partial(cauchy, number("a"), _integer(
+                at + "nodes", spec.get("nodes", 401), 8, MAX_CAUCHY_NODES)))
         if name == "dirac":
             _object(spec, path, "preset", "a")
             return dirac(number("a"))

@@ -47,22 +47,16 @@ def sample_L_gaussian(
     d: int, rng: RngStream | np.random.Generator, scale: float = 1.0
 ) -> ComplexMatrixSample:
     """Ginibre case: i.i.d. complex entries, real and imaginary parts
-    N(0, scale / (2d))."""
+    N(0, scale / (2d)); at scale 0 the zero matrix, drawing nothing."""
     if d < 1:
         raise ValueError("d must be positive")
     if not 0 <= scale < np.inf:
         raise ValueError("scale must be finite and nonnegative")
+    if scale == 0:
+        return ComplexMatrixSample(dim=d)
     gen = as_generator(rng)
     z = standard_complex_normal(gen, (d, d)) * np.sqrt(scale / d)
     return ComplexMatrixSample(z)
-
-
-def _ginibre_block(mean: float, var: float, d: int, gen) -> ComplexMatrixSample:
-    """The Gaussian block of L: Ginibre of variance var (zero when var is 0).
-    The mean is dropped: L is only defined for symmetric triples."""
-    if var > 0:
-        return sample_L_gaussian(d, gen, scale=var)
-    return ComplexMatrixSample(dim=d)
 
 
 def sample_L_compound_poisson(
@@ -100,7 +94,9 @@ def sample_L_many(
     """Batch variant of sample_L; the decomposition is computed once."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
-    return _sample_composite(t, d, rng, n_samples, inner_cut, _ginibre_block,
+    # the Gaussian block drops the mean, which is 0 for a symmetric t
+    return _sample_composite(t, d, rng, n_samples, inner_cut,
+                             lambda mean, var, d, gen: sample_L_gaussian(d, gen, var),
                              sample_L_compound_poisson)
 
 

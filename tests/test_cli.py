@@ -426,7 +426,13 @@ def test_cli_moments_rejects_bad_spec(capsys):
                         "triple: convolve[1].lambda: a str is not a number"),
                        ({"convolve": [{"preset": "dirac", "a": 1},
                                       {"preset": "dirac", "a": 1, "b": 2}]},
-                        "triple: convolve[1].b: unknown field")]:
+                        "triple: convolve[1].b: unknown field"),
+                       # a value out of a preset's range is named by its field
+                       ({"convolve": [{"preset": "dirac", "a": 1},
+                                      {"preset": "gaussian", "mean": 0, "var": -1}]},
+                        "triple: convolve[1].var: variance must be nonnegative"),
+                       ({"preset": "poisson", "lambda": -1}, "triple: lambda:"),
+                       ({"preset": "cauchy", "a": -1}, "triple: a:")]:
         capsys.readouterr()
         assert main(["moments", json.dumps(spec)]) == 2
         assert name in capsys.readouterr().err

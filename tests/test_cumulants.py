@@ -23,6 +23,15 @@ def test_sequence_validation():
     assert m[0] == 1.0 and m[1] == 2.0 and m[2] == 5.0 and m.kmax == 2
 
 
+def test_sequence_orders_outside_1_to_kmax_raise():
+    # a tuple index would wrap: [0] of the cumulants read c_3, [-1] read c_2
+    m, c = MomentSequence((1.0, 2.0, 3.0)), CumulantSequence("free", (1.0, 2.0, 3.0))
+    assert m[0] == 1.0 and m[3] == c[3] == 3.0
+    for seq, k in [(m, -1), (m, 4), (c, 0), (c, -1), (c, 4)]:
+        with pytest.raises(IndexError):
+            seq[k]
+
+
 def test_cumulant_addition():
     a = CumulantSequence("classical", (1.0, 2.0))
     b = CumulantSequence("classical", (0.5, -1.0))

@@ -387,6 +387,16 @@ def test_hermitian_part_is_the_out_of_place_sum_byte_for_byte(d):
         assert np.array_equal(m, m.conj().T)
 
 
+@pytest.mark.parametrize("d", [5, 130, 300])
+def test_hermitian_part_mirrors_each_tile_with_the_sums_bytes(d):
+    # tiles of BLOCK / 2 rows: d = 130 and 300 leave partial tiles, whose
+    # mirrors are written as the conjugate transpose of their averages
+    r = standard_complex_normal(RngStream(7, d).generator(), (d, d))
+    want = (r + r.conj().T) / 2
+    m = _hermitian_part(r.copy())
+    assert np.array_equal(m, want) and m.tobytes() == want.tobytes()
+
+
 def test_hermitian_part_holds_one_tile():
     d = 600
     _hermitian_part(np.ones((2, 2), dtype=complex))  # warm caches and imports

@@ -16,7 +16,7 @@ from bplab.hermitian import (CORE_ROWS, HermitianSample, _decompose, _draw_jumps
                              _haar_columns, _lower_core, _rank_one_terms, sample_P_gaussian,
                              sample_P_many)
 from bplab.levy import FiniteMeasure, LevyTriple, poisson, triple_from_spec
-from bplab.nonhermitian import (ComplexMatrixSample, _ginibre_block, sample_L_many,
+from bplab.nonhermitian import (ComplexMatrixSample, sample_L_gaussian, sample_L_many,
                                 singular_values)
 from bplab.rng import RngStream, standard_complex_normal, sub_key, sub_stream
 from bplab.spectra import esd
@@ -338,7 +338,8 @@ def test_a_block_and_fewer_than_d_terms_keep_their_entries_bytes(model):
     for t in range(3):
         got = (sample_P_many if hermitian else sample_L_many)(triple, d, RngStream(44, t), 1)[0]
         gen = RngStream(44, t).generator()
-        block = (sample_P_gaussian if hermitian else _ginibre_block)(dec.mean, dec.var, d, gen)
+        block = (sample_P_gaussian(dec.mean, dec.var, d, gen) if hermitian
+                 else sample_L_gaussian(d, gen, dec.var))
         n = int(gen.poisson(d * dec.tail.lam))
         x = _draw_jumps(dec.tail.rho, gen, n)
         rows = sample_sphere_vectors(d, (1 if hermitian else 2) * n, sub_stream(sub_key(gen)))

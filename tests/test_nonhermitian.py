@@ -40,6 +40,14 @@ def test_ginibre_entry_scale():
     assert abs(avg - 2.0 / d) < 5 * (2.0 / d) / np.sqrt(d * d)
 
 
+def test_ginibre_of_scale_zero_draws_nothing():
+    # a point mass at 0: the zero matrix, and the generator left where it was
+    gen, untouched = RngStream(8, 0).generator(), RngStream(8, 0).generator()
+    m = sample_L_gaussian(6, gen, 0.0)
+    assert m.block is None and np.all(m.entries == 0) and m.entries.shape == (6, 6)
+    assert gen.standard_normal(4).tobytes() == untouched.standard_normal(4).tobytes()
+
+
 def test_ginibre_second_moment():
     vals = []
     for i in range(200):
