@@ -37,7 +37,6 @@ from .hermitian import (
     sample_Q,
     sample_P_gaussian,
     sample_P_compound_poisson,
-    sample_P,
     sample_P_many,
 )
 from .nonhermitian import (
@@ -45,7 +44,7 @@ from .nonhermitian import (
     sample_K,
     sample_L_gaussian,
     sample_L_compound_poisson,
-    sample_L,
+    sample_L_many,
     symmetrized_singular_law,
 )
 from .sphere import (

@@ -22,8 +22,23 @@ __all__ = [
 ]
 
 
+class _Orders:
+    """The values of orders 1..kmax: iteration, len and numpy see exactly
+    these (m_0 = 1 is read by index only)."""
+
+    @property
+    def kmax(self) -> int:
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
 @dataclass(frozen=True)
-class MomentSequence:
+class MomentSequence(_Orders):
     """Moments m_1..m_kmax, indexed from 1."""
 
     values: tuple[float, ...]
@@ -33,10 +48,6 @@ class MomentSequence:
             raise ValueError("need at least one moment")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
 
-    @property
-    def kmax(self) -> int:
-        return len(self.values)
-
     def __getitem__(self, k: int) -> float:
         """m_k, 1-indexed; m_0 = 1.  Orders outside 0..kmax raise IndexError."""
         if not 0 <= k <= self.kmax:
@@ -45,7 +56,7 @@ class MomentSequence:
 
 
 @dataclass(frozen=True)
-class CumulantSequence:
+class CumulantSequence(_Orders):
     """Cumulants c_1..c_kmax of the given kind ('classical' or 'free')."""
 
     kind: str
@@ -57,10 +68,6 @@ class CumulantSequence:
         if len(self.values) < 1:
             raise ValueError("need at least one cumulant")
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-
-    @property
-    def kmax(self) -> int:
-        return len(self.values)
 
     def __getitem__(self, k: int) -> float:
         if not 1 <= k <= self.kmax:  # a tuple index would wrap

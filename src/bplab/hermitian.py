@@ -23,7 +23,6 @@ __all__ = [
     "sample_Q",
     "sample_P_gaussian",
     "sample_P_compound_poisson",
-    "sample_P",
     "sample_P_many",
 ]
 
@@ -301,12 +300,13 @@ def _rank_one_terms(x: np.ndarray, d: int, gen, pairs=False, summed=False):
     for xb in np.split(x, range(BLOCK, n, BLOCK)):
         block = sample_sphere_vectors(d, k * xb.size, row_stream).reshape(xb.size, k, d)
         u, w = block[:, 0], block[:, -1]
-        if pairs:
-            u *= xb[:, None]
+        if pairs:  # on the float view: x stays real, and w's conjugate is a sign flip
+            block.view(float)[:, 0] *= xb[:, None]
+            block.view(float)[:, 1, 1::2] *= -1
             xu = u.T
         else:  # w is u: the one (d, BLOCK) temporary
             xu = u.T * xb
-        np.conjugate(w, out=w)
+            np.conjugate(w, out=w)
         if r is None:  # assigned, not added to zeros: one block is one product
             r = xu @ w
         else:
@@ -393,22 +393,6 @@ def _sample_composite(
     return out
 
 
-def sample_P(
-    t: LevyTriple,
-    d: int,
-    rng: RngStream | np.random.Generator,
-    inner_cut: float | None = None,
-) -> HermitianSample:
-    """Composite sampler for an arbitrary triple: independent sum of the
-    Gaussian block (drift, Gaussian mass, substituted small jumps) and the
-    compound-Poisson tail of the jumps beyond the cut.
-
-    Exact whenever no atom of G off zero lies within inner_cut; the default
-    cut is below the smallest one, so atomic triples are sampled exactly.
-    """
-    return sample_P_many(t, d, rng, 1, inner_cut)[0]
-
-
 def sample_P_many(
     t: LevyTriple,
     d: int,
@@ -416,8 +400,14 @@ def sample_P_many(
     n_samples: int,
     inner_cut: float | None = None,
 ) -> list[HermitianSample]:
-    """Batch variant of sample_P; the truncation decomposition is computed
-    once."""
+    """Composite sampler for an arbitrary triple, n_samples draws of P_d:
+    each is the independent sum of the Gaussian block (drift, Gaussian mass,
+    substituted small jumps) and the compound-Poisson tail of the jumps
+    beyond the cut.  The truncation decomposition is computed once.
+
+    Exact whenever no atom of G off zero lies within inner_cut; the default
+    cut is below the smallest one, so atomic triples are sampled exactly.
+    """
     if d == 1:
         xs = sample_P_scalars(t, rng, n_samples, inner_cut)
         return [HermitianSample(np.array([[x]], dtype=complex)) for x in xs]

@@ -19,7 +19,6 @@ __all__ = [
     "sample_K",
     "sample_L_gaussian",
     "sample_L_compound_poisson",
-    "sample_L",
     "sample_L_many",
     "singular_values",
     "symmetrized_singular_law",
@@ -72,18 +71,6 @@ def sample_L_compound_poisson(
     return ComplexMatrixSample(dim=d, tail=tail)
 
 
-def sample_L(
-    t: LevyTriple,
-    d: int,
-    rng: RngStream | np.random.Generator,
-    inner_cut: float | None = None,
-) -> ComplexMatrixSample:
-    """Composite sampler for a symmetric triple: independent sum of a Ginibre
-    block (Gaussian mass plus substituted small jumps) and the compound
-    Poisson tail beyond the cut."""
-    return sample_L_many(t, d, rng, 1, inner_cut)[0]
-
-
 def sample_L_many(
     t: LevyTriple,
     d: int,
@@ -91,7 +78,11 @@ def sample_L_many(
     n_samples: int,
     inner_cut: float | None = None,
 ) -> list[ComplexMatrixSample]:
-    """Batch variant of sample_L; the decomposition is computed once."""
+    """Composite sampler for a symmetric triple, n_samples draws of L_d:
+    each is the independent sum of a Ginibre block (Gaussian mass plus
+    substituted small jumps) and the compound Poisson tail beyond the cut.
+    The decomposition is computed once; exact, as sample_P_many is, whenever
+    no atom of G off zero lies within inner_cut."""
     if not is_symmetric(t):
         raise ValueError("the non-Hermitian model requires a symmetric triple")
     # the Gaussian block drops the mean, which is 0 for a symmetric t

@@ -51,9 +51,13 @@ def sample_sphere_vectors(
     gen = as_generator(rng)
     if own_basis:
         m = min(n, d)
-        below = np.tri(n, m, -1, dtype=bool)
         z = np.zeros((n, m), dtype=complex)
-        z[below] = standard_complex_normal(gen, np.count_nonzero(below))
+        # the normals below the diagonal in row order, about 2**16 at a time:
+        # the bits of one draw (rng.py), and no n x m temporary beside z
+        step = max(1, 2**16 // max(m, 1))
+        for r in range(0, n, step):
+            below = np.tri(min(step, n - r), m, r - 1, dtype=bool)
+            z[r:r + step][below] = standard_complex_normal(gen, np.count_nonzero(below))
         diag = np.arange(m)
         z[diag, diag] = np.sqrt(gen.standard_gamma(d - diag))
     else:

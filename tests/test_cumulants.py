@@ -27,6 +27,11 @@ def test_sequence_orders_outside_1_to_kmax_raise():
     # a tuple index would wrap: [0] of the cumulants read c_3, [-1] read c_2
     m, c = MomentSequence((1.0, 2.0, 3.0)), CumulantSequence("free", (1.0, 2.0, 3.0))
     assert m[0] == 1.0 and m[3] == c[3] == 3.0
+    # iteration, membership, len and numpy see the values, without m_0
+    assert list(m) == list(c) == [1.0, 2.0, 3.0]
+    assert 2.0 in c and 2.0 in m and 0.0 not in m
+    assert len(m) == len(c) == 3
+    assert np.array_equal(np.asarray(m), [1.0, 2.0, 3.0]) and np.asarray(c).shape == (3,)
     for seq, k in [(m, -1), (m, 4), (c, 0), (c, -1), (c, 4)]:
         with pytest.raises(IndexError):
             seq[k]

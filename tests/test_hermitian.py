@@ -11,7 +11,6 @@ from bplab.hermitian import (
     _decompose,
     _hermitian_part,
     sample_haar_unitary,
-    sample_P,
     sample_P_compound_poisson,
     sample_P_gaussian,
     sample_P_many,
@@ -181,7 +180,7 @@ def test_composite_draw_order_is_gaussian_block_then_rank_ones():
 
 
 def test_dirac_triple_gives_constant_matrix():
-    m = sample_P(dirac(1.5), 4, RngStream(8, 0))
+    m = sample_P_many(dirac(1.5), 4, RngStream(8, 0), 1)[0]
     assert np.allclose(m.entries, 1.5 * np.eye(4), atol=1e-12)
 
 
@@ -275,7 +274,7 @@ def test_sampler_validation():
     with pytest.raises(ValueError):
         sample_P_many(gaussian(0, 1), 0, RngStream(0, 0), 1)
     with pytest.raises(ValueError):
-        sample_P(gaussian(0, 1), 3, RngStream(0, 0), inner_cut=-0.1)
+        sample_P_many(gaussian(0, 1), 3, RngStream(0, 0), 1, inner_cut=-0.1)[0]
 
 
 NAN = float("nan")
@@ -289,7 +288,7 @@ NAN = float("nan")
     lambda: sample_L_gaussian(3, RngStream(0, 0), scale=NAN),
     lambda: _decompose(poisson(1.0), NAN),
     lambda: truncate(poisson(1.0), NAN),
-    lambda: sample_P(poisson(1.0), 4, RngStream(0, 0), inner_cut=NAN),
+    lambda: sample_P_many(poisson(1.0), 4, RngStream(0, 0), 1, inner_cut=NAN)[0],
     lambda: CompoundPoissonParams(NAN, FiniteMeasure(((1.0, 1.0),))),
 ], ids=["hermitian-check", "gaussian-var", "gaussian-mean", "ginibre-scale",
         "ginibre-scale-nan", "decompose-cut", "truncate-cut", "sample-cut", "intensity"])
@@ -300,9 +299,9 @@ def test_nan_fails_the_api_checks(call):
 
 
 def test_streams_are_reproducible_and_distinct():
-    a = sample_P(gaussian(0, 1), 5, RngStream(9, 0)).entries
-    b = sample_P(gaussian(0, 1), 5, RngStream(9, 0)).entries
-    c = sample_P(gaussian(0, 1), 5, RngStream(9, 1)).entries
+    a = sample_P_many(gaussian(0, 1), 5, RngStream(9, 0), 1)[0].entries
+    b = sample_P_many(gaussian(0, 1), 5, RngStream(9, 0), 1)[0].entries
+    c = sample_P_many(gaussian(0, 1), 5, RngStream(9, 1), 1)[0].entries
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 

@@ -5,7 +5,6 @@ from bplab.levy import FiniteMeasure, LevyTriple, cauchy, convolve, gaussian, po
 from bplab.nonhermitian import (
     ComplexMatrixSample,
     sample_K,
-    sample_L,
     sample_L_compound_poisson,
     sample_L_gaussian,
     sample_L_many,
@@ -99,19 +98,19 @@ def test_composite_draw_order_is_ginibre_block_then_rank_ones():
 
 def test_composite_sampler_rejects_asymmetric_triples():
     with pytest.raises(ValueError):
-        sample_L(poisson(1.0), 3, RngStream(3, 0))
+        sample_L_many(poisson(1.0), 3, RngStream(3, 0), 1)[0]
     with pytest.raises(ValueError):
-        sample_L(gaussian(0.5, 1.0), 3, RngStream(3, 0))
+        sample_L_many(gaussian(0.5, 1.0), 3, RngStream(3, 0), 1)[0]
 
 
 def test_composite_sampler_accepts_symmetric_triples():
     for t in (gaussian(0.0, 1.0), sym_two_point(), cauchy(1.0)):
-        m = sample_L(t, 6, RngStream(3, 1), inner_cut=0.5)
+        m = sample_L_many(t, 6, RngStream(3, 1), 1, inner_cut=0.5)[0]
         assert m.dim == 6
 
 
 def test_symmetrized_law_structure():
-    m = sample_L(sym_two_point(), 8, RngStream(4, 0))
+    m = sample_L_many(sym_two_point(), 8, RngStream(4, 0), 1)[0]
     law = symmetrized_singular_law(m)
     assert law.support_points.size == 16
     assert np.allclose(np.sort(law.support_points), np.sort(-law.support_points[::-1]))
@@ -121,7 +120,7 @@ def test_symmetrized_law_structure():
 
 
 def test_even_moment_equals_gram_trace():
-    m = sample_L(sym_two_point(), 10, RngStream(4, 1))
+    m = sample_L_many(sym_two_point(), 10, RngStream(4, 1), 1)[0]
     law = symmetrized_singular_law(m)
     gram = m.entries.conj().T @ m.entries
     assert empirical_moments(law, 2)[2] == pytest.approx(

@@ -84,6 +84,22 @@ def test_row_norms_peak_at_the_rows_plus_their_norms():
     assert peak < u.nbytes + 2**20
 
 
+def test_own_basis_rows_peak_near_the_returned_array():
+    # the below-diagonal normals are drawn and placed a block of rows at a
+    # time; one n x m draw and mask peaked at 1.56x the array
+    sample_sphere_vectors(3, 2, RngStream(6, 0), own_basis=True)
+    tracemalloc.start()
+    try:
+        u = sample_sphere_vectors(3000, 1500, RngStream(6, 2), own_basis=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * u.nbytes
+    # many blocks of rows, the bits of one draw
+    want = _whole_array_rows(3000, 1500, RngStream(6, 2), own_basis=True)
+    assert u.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("d, n", [(3, 2), (6, 4), (12, 11)])
 def test_own_basis_inner_products_have_the_sphere_moments(d, n):
     # |<u_i, u_j>|^2 of two independent uniform rows is the first coordinate
